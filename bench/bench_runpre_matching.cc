@@ -1,14 +1,10 @@
 // bench_runpre_matching: cost of run-pre matching (§4.3), which "passes
 // over every byte of the pre code". Measures MatchUnit throughput against
 // synthetic compilation units of increasing size and relocation density,
-// and reports bytes matched per second.
-//
-// Every benchmark runs in two modes, selected by the second argument:
-// 1 = the indexed two-stage matcher (canonical n-gram prefilter + decode
-// cache, the default), 0 = the linear fallback that walks every candidate
-// per attempt (`--no-index`). Match decisions are identical; the headline
-// comparison is pre_bytes_walked (linear) against the decode-once
-// pre/run_bytes_canonicalized counters (indexed).
+// and reports bytes matched per second. The ambiguous-symbol benches
+// record what same-named copies cost: every copy is a candidate the
+// verifier walks once, decoded at most once per MatchUnit
+// (pre/run_bytes_canonicalized).
 //
 // Reported work counts (bytes matched, relocation inversions, candidate
 // attempts) are read back from the "runpre." counters the matcher
@@ -29,12 +25,9 @@ namespace {
 // loop (the counters are process-wide monotonic aggregates).
 struct RunpreDeltas {
   uint64_t bytes_matched = 0;
-  uint64_t pre_bytes_walked = 0;
   uint64_t candidates_tried = 0;
   uint64_t reloc_sites_inverted = 0;
   uint64_t ambiguity_deferrals = 0;
-  uint64_t index_hits = 0;
-  uint64_t index_misses = 0;
   uint64_t pre_bytes_canonicalized = 0;
   uint64_t run_bytes_canonicalized = 0;
 
@@ -42,16 +35,12 @@ struct RunpreDeltas {
     RunpreDeltas s;
     s.bytes_matched =
         ks::Metrics().GetCounter("runpre.bytes_matched").value();
-    s.pre_bytes_walked =
-        ks::Metrics().GetCounter("runpre.pre_bytes_walked").value();
     s.candidates_tried =
         ks::Metrics().GetCounter("runpre.candidates_tried").value();
     s.reloc_sites_inverted =
         ks::Metrics().GetCounter("runpre.reloc_sites_inverted").value();
     s.ambiguity_deferrals =
         ks::Metrics().GetCounter("runpre.ambiguity_deferrals").value();
-    s.index_hits = ks::Metrics().GetCounter("runpre.index.hits").value();
-    s.index_misses = ks::Metrics().GetCounter("runpre.index.misses").value();
     s.pre_bytes_canonicalized =
         ks::Metrics()
             .GetCounter("runpre.index.pre_bytes_canonicalized")
@@ -64,28 +53,16 @@ struct RunpreDeltas {
   }
 };
 
-ksplice::MatcherOptions ModeOptions(benchmark::State& state) {
-  ksplice::MatcherOptions options;
-  options.use_index = state.range(1) != 0;
-  return options;
-}
-
-// Emits the per-iteration work counters common to both benches.
+// Emits the per-iteration work counters common to every bench.
 void ReportDeltas(benchmark::State& state, const RunpreDeltas& before,
                   const RunpreDeltas& after) {
   uint64_t iterations = static_cast<uint64_t>(state.iterations());
-  state.counters["pre_bytes_walked"] = static_cast<double>(
-      (after.pre_bytes_walked - before.pre_bytes_walked) / iterations);
   state.counters["pre_bytes_canonicalized"] = static_cast<double>(
       (after.pre_bytes_canonicalized - before.pre_bytes_canonicalized) /
       iterations);
   state.counters["run_bytes_canonicalized"] = static_cast<double>(
       (after.run_bytes_canonicalized - before.run_bytes_canonicalized) /
       iterations);
-  state.counters["index_hits"] = static_cast<double>(
-      (after.index_hits - before.index_hits) / iterations);
-  state.counters["index_misses"] = static_cast<double>(
-      (after.index_misses - before.index_misses) / iterations);
   state.counters["candidates_tried"] = static_cast<double>(
       (after.candidates_tried - before.candidates_tried) / iterations);
 }
@@ -145,7 +122,7 @@ void BM_MatchUnit(benchmark::State& state) {
     state.SkipWithError("pre build failed");
     return;
   }
-  ksplice::RunPreMatcher matcher(**machine, nullptr, ModeOptions(state));
+  ksplice::RunPreMatcher matcher(**machine);
   RunpreDeltas before = RunpreDeltas::Snapshot();
   for (auto _ : state) {
     ks::Result<ksplice::UnitMatch> match = matcher.MatchUnit(*pre);
@@ -168,20 +145,15 @@ void BM_MatchUnit(benchmark::State& state) {
   ReportDeltas(state, before, after);
 }
 BENCHMARK(BM_MatchUnit)
-    ->ArgNames({"functions", "indexed"})
-    ->Args({4, 1})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({128, 1})
-    ->Args({4, 0})
-    ->Args({16, 0})
-    ->Args({64, 0})
-    ->Args({128, 0});
+    ->ArgName("functions")
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(128);
 
 // Ambiguity resolution cost: many same-named candidates force the matcher
 // to try each (fixpoint disambiguation). The bodies differ only in imm32
-// constants — which canonicalization wildcards — so the prefilter cannot
-// prune here and the indexed win is the decode cache, not the index.
+// constants, so each wrong copy fails late in its walk.
 void BM_MatchAmbiguous(benchmark::State& state) {
   int copies = static_cast<int>(state.range(0));
   kdiff::SourceTree tree;
@@ -221,7 +193,7 @@ void BM_MatchAmbiguous(benchmark::State& state) {
     state.SkipWithError("pre build failed");
     return;
   }
-  ksplice::RunPreMatcher matcher(**machine, nullptr, ModeOptions(state));
+  ksplice::RunPreMatcher matcher(**machine);
   RunpreDeltas before = RunpreDeltas::Snapshot();
   for (auto _ : state) {
     ks::Result<ksplice::UnitMatch> match = matcher.MatchUnit(*pre);
@@ -238,27 +210,16 @@ void BM_MatchAmbiguous(benchmark::State& state) {
       iterations);
   ReportDeltas(state, before, after);
 }
-BENCHMARK(BM_MatchAmbiguous)
-    ->ArgNames({"copies", "indexed"})
-    ->Args({2, 1})
-    ->Args({8, 1})
-    ->Args({32, 1})
-    ->Args({2, 0})
-    ->Args({8, 0})
-    ->Args({32, 0});
+BENCHMARK(BM_MatchAmbiguous)->ArgName("copies")->Arg(2)->Arg(8)->Arg(32);
 
 // Structurally diverse ambiguity: same-named candidates whose bodies
-// differ in shape, not just constants — the case the n-gram prefilter
-// actually prunes. Indexed mode should try far fewer candidates.
+// differ in shape, not just constants, so most wrong copies fail within
+// their first few instructions.
 void BM_MatchDiverseAmbiguous(benchmark::State& state) {
   int copies = static_cast<int>(state.range(0));
   kdiff::SourceTree tree;
-  // Six handler shapes whose first 16 canonical bytes are pairwise
-  // distinct.  Divergence must land *inside* the gram window, which the
-  // shared prologue and argument-load boilerplate nearly fill — varying
-  // trailing statements or immediate constants (wildcarded imm32s) is not
-  // enough.  These shapes differ in frame allocation, control flow,
-  // arity, or an early call, so each lands in its own gram bucket.
+  // Six handler shapes that differ in frame allocation, control flow,
+  // arity, or an early call.
   struct Shape {
     const char* def;
     const char* call;
@@ -309,7 +270,7 @@ void BM_MatchDiverseAmbiguous(benchmark::State& state) {
     state.SkipWithError("pre build failed");
     return;
   }
-  ksplice::RunPreMatcher matcher(**machine, nullptr, ModeOptions(state));
+  ksplice::RunPreMatcher matcher(**machine);
   RunpreDeltas before = RunpreDeltas::Snapshot();
   for (auto _ : state) {
     ks::Result<ksplice::UnitMatch> match = matcher.MatchUnit(*pre);
@@ -322,12 +283,7 @@ void BM_MatchDiverseAmbiguous(benchmark::State& state) {
   state.counters["same_named_candidates"] = copies;
   ReportDeltas(state, before, after);
 }
-BENCHMARK(BM_MatchDiverseAmbiguous)
-    ->ArgNames({"copies", "indexed"})
-    ->Args({8, 1})
-    ->Args({32, 1})
-    ->Args({8, 0})
-    ->Args({32, 0});
+BENCHMARK(BM_MatchDiverseAmbiguous)->ArgName("copies")->Arg(8)->Arg(32);
 
 }  // namespace
 

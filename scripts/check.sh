@@ -13,7 +13,8 @@ for b in build/bench/bench_*; do echo "== $b =="; "$b"; done
 for e in build/examples/quickstart build/examples/cve_prctl build/examples/shadow_struct build/examples/stacked_updates build/examples/fleet_update; do echo "== $e =="; "$e"; done
 
 # Observability smoke: export the corpus, hot-apply one CVE fix under
-# --trace/--metrics, and validate the emitted JSON files.
+# --trace/--metrics, and validate the emitted JSON files (the run-pre
+# counters included: sections matched, pre code decoded once per section).
 echo "== ksplice_tool observability smoke =="
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
@@ -31,43 +32,13 @@ for span in ("create.update", "runpre.match_unit", "ksplice.apply"):
     assert span in names, f"missing trace span {span}: {sorted(names)}"
 metrics = json.load(open(obs_dir + "/metrics.json"))
 counters = metrics["counters"]
-for key in ("kcc.units_compiled", "runpre.units_matched", "ksplice.applies"):
+for key in ("kcc.units_compiled", "runpre.units_matched",
+            "runpre.sections_matched", "runpre.index.pre_bytes_canonicalized",
+            "ksplice.applies"):
     assert counters.get(key, 0) > 0, f"counter {key} not populated: {counters}"
 assert metrics["histograms"]["ksplice.stop_pause_ns"]["count"] > 0
 print("trace + metrics JSON OK:",
       len(trace["traceEvents"]), "spans,", len(counters), "counters")
-EOF
-
-# Matcher-equivalence smoke: the indexed run-pre matcher (default) and the
-# linear fallback (--no-index) must reach identical decisions; the index
-# exists only to walk fewer bytes. Apply the same fix both ways and compare
-# the runpre counters: same sections matched, same candidates tried, and
-# the indexed mode must walk at least 10x fewer run bytes.
-echo "== ksplice_tool matcher equivalence smoke =="
-build/tools/ksplice_tool --metrics="$obs_dir/indexed-metrics.json" \
-  demo "$obs_dir/corpus/src" "$obs_dir/corpus/patches/CVE-2006-2451.patch" \
-  xp_2006_2451
-build/tools/ksplice_tool --no-index \
-  --metrics="$obs_dir/linear-metrics.json" \
-  demo "$obs_dir/corpus/src" "$obs_dir/corpus/patches/CVE-2006-2451.patch" \
-  xp_2006_2451
-python3 - "$obs_dir" <<'EOF'
-import json, sys
-obs_dir = sys.argv[1]
-indexed = json.load(open(obs_dir + "/indexed-metrics.json"))["counters"]
-linear = json.load(open(obs_dir + "/linear-metrics.json"))["counters"]
-for key in ("runpre.units_matched", "runpre.sections_matched",
-            "runpre.bytes_matched", "runpre.candidates_tried"):
-    assert indexed.get(key) == linear.get(key), \
-        f"{key} differs: indexed={indexed.get(key)} linear={linear.get(key)}"
-iw = indexed.get("runpre.pre_bytes_walked", 0)
-lw = linear.get("runpre.pre_bytes_walked", 0)
-assert lw > 0, f"linear matcher walked no pre bytes: {linear}"
-assert iw * 10 <= lw, f"indexed walked {iw} bytes, linear {lw}: want >=10x less"
-assert indexed.get("runpre.index.pre_bytes_canonicalized", 0) > 0, indexed
-assert linear.get("runpre.index.hits", 0) == 0, linear
-print("matcher equivalence OK:", indexed["runpre.sections_matched"],
-      "sections both modes;", iw, "vs", lw, "pre bytes walked")
 EOF
 
 # Lint smoke: create a package from the prctl patch, run the kanalyze lint

@@ -4,18 +4,11 @@
 # load/unload churn (ASAN aborts on the first heap error). The transaction
 # tests matter most here: every rollback path unloads a group of
 # partially-initialized modules, and out-of-order undo rewrites records
-# that point into other updates' arenas.
+# that point into other updates' arenas. The test set is the `sanitize`
+# ctest label declared in tests/CMakeLists.txt; tests run one at a time.
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build-asan -G Ninja -DKSPLICE_SANITIZE="address;undefined"
-cmake --build build-asan --target ksplice_txn_test concurrency_test \
-  ksplice_hooks_smp_test kanalyze_test fuzz_negative_test chaos_test \
-  runpre_test runpre_index_test fleet_test howto_test watchdog_test
-for t in ksplice_txn_test concurrency_test ksplice_hooks_smp_test \
-         kanalyze_test fuzz_negative_test chaos_test \
-         runpre_test runpre_index_test fleet_test howto_test \
-         watchdog_test; do
-  echo "== build-asan/tests/$t =="
-  "./build-asan/tests/$t"
-done
+cmake --build build-asan --target sanitize_tests
+ctest --test-dir build-asan -L sanitize --output-on-failure
 echo "ASAN CHECKS PASSED"

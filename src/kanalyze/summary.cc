@@ -4,6 +4,7 @@
 #include <deque>
 #include <optional>
 
+#include "base/fnv.h"
 #include "base/metrics.h"
 #include "base/strings.h"
 #include "base/threadpool.h"
@@ -14,15 +15,6 @@
 namespace kanalyze {
 
 namespace {
-
-uint64_t Fnv64(const uint8_t* data, size_t len,
-               uint64_t hash = 14695981039346656037u) {
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211u;
-  }
-  return hash;
-}
 
 // ---- Abstract register lattice ---------------------------------------
 //
@@ -598,8 +590,7 @@ std::string SummaryCacheKey(const kelf::ObjectFile& object,
                             const kelf::Section& section) {
   std::string key = ks::StrPrintf(
       "ksum1|%016llx|%zu",
-      static_cast<unsigned long long>(
-          Fnv64(section.bytes.data(), section.bytes.size())),
+      static_cast<unsigned long long>(ks::Fnv1a64(section.bytes)),
       section.bytes.size());
   for (const kelf::Relocation& reloc : section.relocs) {
     const std::string& name =

@@ -1,25 +1,13 @@
 #include "kcc/objcache.h"
 
 #include "base/faultinject.h"
+#include "base/fnv.h"
 #include "base/metrics.h"
 #include "base/strings.h"
 
 namespace kcc {
 
 namespace {
-
-uint64_t Fnv64(std::string_view data, uint64_t hash = 14695981039346656037u) {
-  for (char c : data) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211u;
-  }
-  return hash;
-}
-
-uint64_t Fnv64Bytes(const std::vector<uint8_t>& bytes) {
-  return Fnv64(std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                bytes.size()));
-}
 
 // The content address: every file whose bytes reach the object (the unit
 // plus its transitive includes, in preprocess order) and every option that
@@ -36,8 +24,9 @@ ks::Result<std::string> CacheKey(const kdiff::SourceTree& tree,
       options.build_date.c_str(), options.build_time.c_str(), path.c_str());
   for (const std::string& dep : closure) {
     KS_ASSIGN_OR_RETURN(std::string contents, tree.Read(dep));
-    key += ks::StrPrintf("|%s:%016llx", dep.c_str(),
-                         static_cast<unsigned long long>(Fnv64(contents)));
+    key += ks::StrPrintf(
+        "|%s:%016llx", dep.c_str(),
+        static_cast<unsigned long long>(ks::Fnv1a64(contents)));
   }
   return key;
 }
@@ -92,7 +81,7 @@ ks::Result<kelf::ObjectFile> ObjectCache::GetOrCompile(
       ks::Status write_fault = ks::Faults().Check("kcc.objcache.write");
       if (write_fault.ok()) {
         entry->bytes = compiled->Serialize();
-        entry->checksum = Fnv64Bytes(entry->bytes);
+        entry->checksum = ks::Fnv1a64(entry->bytes);
       } else {
         static ks::Counter& write_failures =
             ks::Metrics().GetCounter("kcc.objcache.write_failures");
@@ -137,7 +126,7 @@ ks::Result<kelf::ObjectFile> ObjectCache::ServeEntry(
     }
     ks::Status read_fault = ks::Faults().Check("kcc.objcache.read");
     if (read_fault.ok() && !entry.bytes.empty() &&
-        entry.checksum == Fnv64Bytes(entry.bytes)) {
+        entry.checksum == ks::Fnv1a64(entry.bytes)) {
       ks::Result<kelf::ObjectFile> parsed = kelf::ObjectFile::Parse(entry.bytes);
       if (parsed.ok()) {
         hits_.fetch_add(1);
@@ -159,7 +148,7 @@ ks::Result<kelf::ObjectFile> ObjectCache::ServeEntry(
   if (compiled.ok()) {
     std::lock_guard<std::mutex> lock(entry.mu);
     entry.bytes = compiled->Serialize();
-    entry.checksum = Fnv64Bytes(entry.bytes);
+    entry.checksum = ks::Fnv1a64(entry.bytes);
   }
   return compiled;
 }
@@ -201,7 +190,7 @@ ks::Result<std::vector<uint8_t>> ObjectCache::GetOrComputeBlob(
     std::lock_guard<std::mutex> lock(entry->mu);
     if (computed.ok()) {
       entry->bytes = *computed;
-      entry->checksum = Fnv64Bytes(entry->bytes);
+      entry->checksum = ks::Fnv1a64(entry->bytes);
     } else {
       entry->error = computed.status();
     }
@@ -224,7 +213,7 @@ ks::Result<std::vector<uint8_t>> ObjectCache::GetOrComputeBlob(
       }
       return entry->error;
     }
-    if (entry->checksum == Fnv64Bytes(entry->bytes)) {
+    if (entry->checksum == ks::Fnv1a64(entry->bytes)) {
       blob_hits_.fetch_add(1);
       hit_counter.Add(1);
       if (was_hit != nullptr) {
@@ -242,7 +231,7 @@ ks::Result<std::vector<uint8_t>> ObjectCache::GetOrComputeBlob(
   if (computed.ok()) {
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->bytes = *computed;
-    entry->checksum = Fnv64Bytes(entry->bytes);
+    entry->checksum = ks::Fnv1a64(entry->bytes);
   }
   return computed;
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "base/fnv.h"
 #include "base/strings.h"
 #include "base/trace.h"
 #include "kanalyze/kanalyze.h"
@@ -27,15 +28,6 @@ uint32_t SectionSize(const kelf::ObjectFile& obj, const std::string& name) {
   }
   return static_cast<uint32_t>(
       obj.sections()[static_cast<size_t>(*idx)].bytes.size());
-}
-
-uint32_t Fnv32(std::string_view data) {
-  uint32_t hash = 2166136261u;
-  for (char c : data) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 16777619u;
-  }
-  return hash;
 }
 
 // Extracts the primary object for one rebuilt unit: the changed/new
@@ -211,8 +203,7 @@ ks::Result<CreateResult> CreateUpdate(const kdiff::SourceTree& pre_tree,
   result.package.id =
       !options.id.empty()
           ? options.id
-          : ks::StrPrintf("ksplice-%08x",
-                          Fnv32(std::string(patch_text)));
+          : ks::StrPrintf("ksplice-%08x", ks::Fnv1a32(patch_text));
 
   bool any_code_change = false;
   for (size_t ui = 0; ui < prepost.rebuilt_units.size(); ++ui) {

@@ -40,15 +40,11 @@ void MatchStats::MergeFrom(const MatchStats& other) {
   sections_matched += other.sections_matched;
   candidates_tried += other.candidates_tried;
   run_bytes_matched += other.run_bytes_matched;
-  pre_bytes_walked += other.pre_bytes_walked;
   nop_bytes_skipped += other.nop_bytes_skipped;
   reloc_sites_inverted += other.reloc_sites_inverted;
   symbols_recovered += other.symbols_recovered;
   ambiguity_deferrals += other.ambiguity_deferrals;
   fixpoint_passes += other.fixpoint_passes;
-  index_anchors += other.index_anchors;
-  index_hits += other.index_hits;
-  index_misses += other.index_misses;
   pre_bytes_canonicalized += other.pre_bytes_canonicalized;
   run_bytes_canonicalized += other.run_bytes_canonicalized;
   revalidations += other.revalidations;
@@ -60,19 +56,16 @@ void MatchStats::MergeFrom(const MatchStats& other) {
 std::string MatchStats::ToJson() const {
   return ks::StrPrintf(
       "{\"sections_matched\":%llu,\"candidates_tried\":%llu,"
-      "\"run_bytes_matched\":%llu,\"pre_bytes_walked\":%llu,"
-      "\"nop_bytes_skipped\":%llu,\"reloc_sites_inverted\":%llu,"
-      "\"symbols_recovered\":%llu,\"ambiguity_deferrals\":%llu,"
-      "\"fixpoint_passes\":%llu,\"index_anchors\":%llu,"
-      "\"index_hits\":%llu,\"index_misses\":%llu,"
+      "\"run_bytes_matched\":%llu,\"nop_bytes_skipped\":%llu,"
+      "\"reloc_sites_inverted\":%llu,\"symbols_recovered\":%llu,"
+      "\"ambiguity_deferrals\":%llu,\"fixpoint_passes\":%llu,"
       "\"pre_bytes_canonicalized\":%llu,\"run_bytes_canonicalized\":%llu,"
       "\"revalidations\":%llu,\"extable_sections_matched\":%llu,"
       "\"bug_table_sections_matched\":%llu,"
       "\"date_time_sections_matched\":%llu}",
       U(sections_matched), U(candidates_tried), U(run_bytes_matched),
-      U(pre_bytes_walked), U(nop_bytes_skipped), U(reloc_sites_inverted),
-      U(symbols_recovered), U(ambiguity_deferrals), U(fixpoint_passes),
-      U(index_anchors), U(index_hits), U(index_misses),
+      U(nop_bytes_skipped), U(reloc_sites_inverted), U(symbols_recovered),
+      U(ambiguity_deferrals), U(fixpoint_passes),
       U(pre_bytes_canonicalized), U(run_bytes_canonicalized),
       U(revalidations), U(extable_sections_matched),
       U(bug_table_sections_matched), U(date_time_sections_matched));

@@ -3,7 +3,7 @@
 // Every phase of a Ksplice operation returns a machine-readable account of
 // what it did and why: CreateUpdate fills a CreateReport (per-unit
 // compile/cache/diff statistics and the changed-function list), run-pre
-// matching fills a MatchStats (candidates tried, bytes walked, relocation
+// matching fills a MatchStats (candidates tried, bytes decoded, relocation
 // sites inverted), and KspliceCore::Apply/Undo return ApplyReport /
 // UndoReport (per-function splice records, stop_machine pause, quiescence
 // retries, arena bytes). Callers consume these structures — benches,
@@ -28,21 +28,18 @@ namespace ksplice {
 // every byte of the pre code" made measurable).
 struct MatchStats {
   uint64_t sections_matched = 0;    // text sections accepted
-  uint64_t candidates_tried = 0;    // TryMatchText attempts
+  uint64_t candidates_tried = 0;    // (section, candidate) verifications
   uint64_t run_bytes_matched = 0;   // run bytes covered by accepted matches
-  uint64_t pre_bytes_walked = 0;    // pre bytes decoded across all attempts
   uint64_t nop_bytes_skipped = 0;   // padding skipped on either side
   uint64_t reloc_sites_inverted = 0;  // relocation algebra inversions
   uint64_t symbols_recovered = 0;   // distinct symbol values in the result
   uint64_t ambiguity_deferrals = 0; // sections deferred to a later pass
   uint64_t fixpoint_passes = 0;     // disambiguation rounds
 
-  // Canonical n-gram index statistics (zero in --no-index linear mode).
-  uint64_t index_anchors = 0;     // kallsyms functions in the gram table
-  uint64_t index_hits = 0;        // candidates the prefilter admitted
-  uint64_t index_misses = 0;      // candidates the prefilter pruned
+  // Decode-once caching: each pre section and each run candidate address
+  // is decoded at most once per MatchUnit, however many passes use it.
   uint64_t pre_bytes_canonicalized = 0;  // pre bytes decoded once per section
-  uint64_t run_bytes_canonicalized = 0;  // run bytes decoded once per anchor
+  uint64_t run_bytes_canonicalized = 0;  // run bytes decoded once per address
   uint64_t revalidations = 0;  // cached successes re-checked across passes
 
   // Per-howto structural matching (special sections, §4.3): sections

@@ -2,38 +2,26 @@
 // to the code actually running, and recover symbol values — including
 // ambiguous local symbols — from already-relocated run bytes.
 //
-// The matcher is a two-stage design:
-//
-//  stage 1 (canonicalize + index, the prefilter): pre sections and run
-//  candidates are decoded once into instruction records, and a canonical
-//  byte form (kvx::AppendCanonicalBytes: nop padding dropped, rel8/rel32
-//  displacements and imm32 operand bytes wildcarded) feeds a content-hash
-//  n-gram table built once per MatchUnit over every kallsyms function
-//  address, so ambiguous-symbol candidate discovery is an index lookup
-//  instead of a byte-by-byte scan of every candidate;
-//
-//  stage 2 (verify, the oracle): surviving candidates run through the
-//  precise verifier, which walks pre and run instruction records in step,
-//  tolerating rel8-vs-rel32 encodings of the same branch as long as the
-//  targets correspond (§4.3), and at each pre relocation site inverts the
-//  relocation algebra against the already-relocated run word: S = val +
-//  P_run − A (pc-relative) or S = val − A (absolute), accumulating a
-//  symbol valuation that must be globally consistent.
-//
-// The prefilter proposes, the verifier decides: pruning is sound (equal
-// canonical streams are a necessary condition for any verifier match), so
-// match decisions, recovered valuations, and failure messages are
-// byte-identical with the index disabled (MatcherOptions::use_index =
-// false, the `--no-index` linear fallback).
+// Matching is one sequential pass per fixpoint round. Each pre text section
+// is decoded once per MatchUnit into instruction records, and the run code
+// at each candidate address is decoded lazily, once, into a stream shared
+// by every section and round. The verifier walks pre and run records in
+// step, tolerating rel8-vs-rel32 encodings of the same branch as long as
+// the targets correspond (§4.3), and at each pre relocation site inverts
+// the relocation algebra against the already-relocated run word:
+// S = val + P_run − A (pc-relative) or S = val − A (absolute), accumulating
+// a symbol valuation that must be globally consistent. Howto-tagged data
+// sections (exception tables, bug tables, build timestamps) are verified
+// under their per-kind structural strategy instead.
 //
 // A section whose symbol name is ambiguous is matched against every
-// surviving candidate, and ambiguity is resolved by code content plus
-// valuation constraints propagated from other sections across fixpoint
-// passes; a section's successful verifications are carried forward across
-// passes (only the valuation consistency of the cached recovery is
-// re-checked), so no (section, candidate) pair is ever walked twice.
-// Residual ambiguity or any run/pre difference aborts the update (§4.3,
-// §6.2 criterion (a)/(b)).
+// candidate, and ambiguity is resolved by code content plus valuation
+// constraints propagated from other sections across fixpoint passes; a
+// section's successful verifications are carried forward across passes
+// (only the valuation consistency of the cached recovery is re-checked),
+// so no (section, candidate) pair is ever walked twice. Residual ambiguity
+// or any run/pre difference aborts the update (§4.3, §6.2 criterion
+// (a)/(b)).
 
 #ifndef KSPLICE_KSPLICE_RUNPRE_H_
 #define KSPLICE_KSPLICE_RUNPRE_H_
@@ -77,36 +65,6 @@ using PatchRedirect =
     std::function<std::optional<std::pair<uint32_t, uint32_t>>(
         const std::string& unit, const std::string& symbol)>;
 
-// Matching knobs.
-struct MatcherOptions {
-  // Use the canonical n-gram prefilter and per-MatchUnit decode cache. Off
-  // = the linear fallback: every candidate of every section is decoded and
-  // walked per attempt (same decisions, an order of magnitude more bytes
-  // walked on ambiguous units).
-  bool use_index = true;
-  // Worker threads for the per-section fan-out inside one fixpoint pass
-  // (<= 1 = serial). Verification is read-only on the machine and writes
-  // only per-section state, so sections verify concurrently; commits stay
-  // sequential in section order, so results are identical at any count.
-  int jobs = 1;
-};
-
-// The canonical prefix of a code blob: kvx canonical bytes of the leading
-// instructions, stopping at `max_bytes` canonical bytes, a decode failure,
-// or the end of `code`. Exposed for prefilter tests; the matcher uses the
-// same routine for pre sections and for run anchors.
-struct CanonicalPrefix {
-  std::vector<uint8_t> bytes;
-  uint32_t src_consumed = 0;  // original bytes the prefix covers
-  bool decode_ok = true;      // false: stopped at an undecodable byte
-};
-CanonicalPrefix CanonicalizeCode(std::span<const uint8_t> code,
-                                 size_t max_bytes);
-
-// The content hash the n-gram prefilter keys on: FNV-1a over the first
-// `RunPreMatcher::kGramBytes` canonical bytes. Exposed for tests.
-uint64_t CanonicalGramHash(std::span<const uint8_t> canonical_bytes);
-
 // Nop-normalizes a branch target (§4.3): when `target` lies inside
 // [window_base, window_base + window.size()), skips no-op instructions
 // starting at it and returns the first non-nop boundary; otherwise returns
@@ -119,29 +77,22 @@ uint64_t NormalizeBranchTarget(std::span<const uint8_t> window,
 
 class RunPreMatcher {
  public:
-  // Canonical bytes per prefilter gram. Sections whose canonical form is
-  // shorter are never pruned (the gram would not be content-complete).
-  static constexpr size_t kGramBytes = 16;
-
   explicit RunPreMatcher(const kvm::Machine& machine,
-                         PatchRedirect redirect = nullptr,
-                         MatcherOptions options = {})
-      : machine_(machine),
-        redirect_(std::move(redirect)),
-        options_(options) {}
+                         PatchRedirect redirect = nullptr)
+      : machine_(machine), redirect_(std::move(redirect)) {}
 
   // Matches every text section of `pre` against the run image. When
   // `stats` is non-null it is filled with this call's matching statistics
   // (populated on failure too, up to the point of the abort); the same
   // numbers are aggregated into the global metrics registry under the
-  // "runpre." prefix either way.
+  // "runpre." prefix either way. Starts no threads and keeps all state
+  // per call, so several units may be matched concurrently on one matcher.
   ks::Result<UnitMatch> MatchUnit(const kelf::ObjectFile& pre,
                                   MatchStats* stats = nullptr) const;
 
  private:
   const kvm::Machine& machine_;
   PatchRedirect redirect_;
-  MatcherOptions options_;
 };
 
 }  // namespace ksplice

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "base/endian.h"
+#include "base/fnv.h"
 #include "base/status.h"
 #include "base/strings.h"
 
@@ -164,6 +165,42 @@ TEST(EndianTest, RoundTrip16And64) {
   WriteLe64(buf, 0x0102030405060708ull);
   EXPECT_EQ(ReadLe64(buf), 0x0102030405060708ull);
   EXPECT_EQ(buf[0], 0x08);
+}
+
+TEST(FnvTest, StandardVectors) {
+  EXPECT_EQ(Fnv1a32(""), 0x811c9dc5u);
+  EXPECT_EQ(Fnv1a32("a"), 0xe40c292cu);
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  // The byte and string overloads hash the same bytes.
+  const std::vector<uint8_t> a = {'a'};
+  EXPECT_EQ(Fnv1a32(a), Fnv1a32("a"));
+  EXPECT_EQ(Fnv1a64(a), Fnv1a64("a"));
+}
+
+TEST(FnvTest, PinsPackageHeaderChecksum) {
+  // The bytes a .kspl header checksum covers (everything after the
+  // checksum field) for a package with id "pinned", no objects, and one
+  // target kernel/sys.kc:sys_prctl in .text.sys_prctl. Packages on disk
+  // carry this value, so it must never change.
+  std::vector<uint8_t> payload;
+  auto put_u32 = [&payload](uint32_t v) {
+    payload.resize(payload.size() + 4);
+    WriteLe32(payload.data() + payload.size() - 4, v);
+  };
+  auto put_str = [&](std::string_view text) {
+    put_u32(static_cast<uint32_t>(text.size()));
+    payload.insert(payload.end(), text.begin(), text.end());
+  };
+  put_str("pinned");
+  put_u32(0);  // helper objects
+  put_u32(0);  // primary objects
+  put_u32(1);  // targets
+  put_str("kernel/sys.kc");
+  put_str("sys_prctl");
+  put_str(".text.sys_prctl");
+  ASSERT_EQ(payload.size(), 71u);
+  EXPECT_EQ(Fnv1a32(payload), 0x58ea9c2fu);
 }
 
 }  // namespace

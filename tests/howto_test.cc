@@ -3,8 +3,7 @@
 // source line via the bug table, and run-pre matching applies per-howto
 // strategies — byte-wise for text, entry-structural for
 // .extable/.bug_table (match (insn, fixup) pairs under relocation, not
-// raw bytes), content-ignoring for .rodata.date/.rodata.time — with
-// decisions identical across -j and --no-index.
+// raw bytes), content-ignoring for .rodata.date/.rodata.time.
 
 #include <gtest/gtest.h>
 
@@ -196,26 +195,16 @@ TEST(HowtoMatch, ChangedExtableFixupRefusesNamingEntry) {
   ASSERT_TRUE(fixup.ok());
   ASSERT_TRUE((*machine)->WriteWord(table + 4, *fixup + 2).ok());
 
-  std::string first_message;
-  for (MatcherOptions options :
-       {MatcherOptions{true, 1}, MatcherOptions{false, 1}}) {
-    RunPreMatcher matcher(**machine, nullptr, options);
-    ks::Result<UnitMatch> match = matcher.MatchUnit(pre);
-    ASSERT_FALSE(match.ok());
-    EXPECT_EQ(match.status().code(), ks::ErrorCode::kAborted);
-    // The per-entry diagnostic names the failing entry index.
-    EXPECT_NE(match.status().message().find("entry 0"), std::string::npos)
-        << match.status().message();
-    if (first_message.empty()) {
-      first_message = match.status().message();
-    } else {
-      EXPECT_EQ(first_message, match.status().message())
-          << "refusals must be byte-identical with and without the index";
-    }
-  }
+  RunPreMatcher matcher(**machine);
+  ks::Result<UnitMatch> match = matcher.MatchUnit(pre);
+  ASSERT_FALSE(match.ok());
+  EXPECT_EQ(match.status().code(), ks::ErrorCode::kAborted);
+  // The per-entry diagnostic names the failing entry index.
+  EXPECT_NE(match.status().message().find("entry 0"), std::string::npos)
+      << match.status().message();
 }
 
-TEST(HowtoMatch, DecisionsIdenticalAcrossJobsAndIndex) {
+TEST(HowtoMatch, EverySectionResolvesToItsKallsymsAddress) {
   SourceTree tree = HowtoTree();
   ks::Result<std::unique_ptr<kvm::Machine>> machine = BootTree(tree, {});
   ASSERT_TRUE(machine.ok()) << machine.status().ToString();
@@ -224,42 +213,24 @@ TEST(HowtoMatch, DecisionsIdenticalAcrossJobsAndIndex) {
   drifted.build_time = "12:34:56";
   kelf::ObjectFile pre = CompilePre(tree, drifted);
 
-  std::optional<UnitMatch> baseline;
-  std::optional<MatchStats> baseline_stats;
-  for (bool use_index : {true, false}) {
-    for (int jobs : {1, 8}) {
-      MatcherOptions options;
-      options.use_index = use_index;
-      options.jobs = jobs;
-      RunPreMatcher matcher(**machine, nullptr, options);
-      MatchStats stats;
-      ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
-      ASSERT_TRUE(match.ok())
-          << "index=" << use_index << " jobs=" << jobs << ": "
-          << match.status().ToString();
-      if (!baseline.has_value()) {
-        baseline = *match;
-        baseline_stats = stats;
-        continue;
-      }
-      EXPECT_EQ(match->symbol_values, baseline->symbol_values);
-      ASSERT_EQ(match->sections.size(), baseline->sections.size());
-      for (const auto& [name, section] : match->sections) {
-        ASSERT_TRUE(baseline->sections.count(name)) << name;
-        EXPECT_EQ(section.run_address,
-                  baseline->sections[name].run_address) << name;
-        EXPECT_EQ(section.run_size, baseline->sections[name].run_size)
-            << name;
-      }
-      EXPECT_EQ(stats.sections_matched, baseline_stats->sections_matched);
-      EXPECT_EQ(stats.extable_sections_matched,
-                baseline_stats->extable_sections_matched);
-      EXPECT_EQ(stats.bug_table_sections_matched,
-                baseline_stats->bug_table_sections_matched);
-      EXPECT_EQ(stats.date_time_sections_matched,
-                baseline_stats->date_time_sections_matched);
-    }
+  RunPreMatcher matcher(**machine);
+  MatchStats stats;
+  ks::Result<UnitMatch> match = matcher.MatchUnit(pre, &stats);
+  ASSERT_TRUE(match.ok()) << match.status().ToString();
+
+  // Text and howto sections alike land on the one kallsyms entry their
+  // defining symbol has in the running kernel.
+  ASSERT_FALSE(match->sections.empty());
+  for (const auto& [name, section] : match->sections) {
+    uint32_t expected = AddressOf(**machine, section.symbol);
+    EXPECT_EQ(section.run_address, expected) << name;
+    EXPECT_EQ(match->symbol_values.at(section.symbol), expected) << name;
   }
+  // One guarded load, one BUG site, both build timestamps.
+  EXPECT_EQ(stats.extable_sections_matched, 1u);
+  EXPECT_EQ(stats.bug_table_sections_matched, 1u);
+  EXPECT_EQ(stats.date_time_sections_matched, 2u);
+  EXPECT_EQ(stats.sections_matched, match->sections.size());
 }
 
 // ---------------------------------------------------------------- e2e

@@ -73,13 +73,21 @@ TEST(Imm32FieldTest, Offsets) {
 }
 
 // Property-style round trip over all register/immediate combinations.
+// gtest names each case by dumping the struct's bytes, so the byte after
+// reg2 is an explicit zeroed member rather than padding: indeterminate
+// padding would give every process (and every ctest discovery) different
+// test names.
 struct RoundTripCase {
+  RoundTripCase(Op o, uint8_t r1, uint8_t r2, uint32_t i, int32_t r)
+      : op(o), reg1(r1), reg2(r2), imm(i), rel(r) {}
   Op op;
   uint8_t reg1;
   uint8_t reg2;
+  uint8_t unused = 0;
   uint32_t imm;
   int32_t rel;
 };
+static_assert(sizeof(RoundTripCase) == 12, "no padding bytes in test names");
 
 class EncodeDecodeTest : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -443,7 +443,7 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_GT(stats.sections_matched, 0u);
   EXPECT_GT(stats.candidates_tried, 0u);
   EXPECT_GT(stats.run_bytes_matched, 0u);
-  // Indexed mode decodes each section and anchor once (canonicalized
+  // Each section and candidate address is decoded once (canonicalized
   // counters) instead of re-walking pre bytes per candidate attempt.
   EXPECT_GT(stats.pre_bytes_canonicalized, 0u);
   EXPECT_GT(stats.run_bytes_canonicalized, 0u);
@@ -451,18 +451,6 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
   EXPECT_GE(stats.fixpoint_passes, 1u);
   EXPECT_TRUE(ValidJson(stats.ToJson())) << stats.ToJson();
 
-  // The linear fallback still reports the per-attempt byte walk, with
-  // decisions identical to the indexed run.
-  RunPreMatcher linear(**machine, nullptr,
-                       MatcherOptions{.use_index = false});
-  MatchStats linear_stats;
-  ks::Result<UnitMatch> linear_match = linear.MatchUnit(*pre, &linear_stats);
-  ASSERT_TRUE(linear_match.ok());
-  EXPECT_GT(linear_stats.pre_bytes_walked, 0u);
-  EXPECT_EQ(linear_stats.sections_matched, stats.sections_matched);
-  EXPECT_EQ(linear_stats.candidates_tried, stats.candidates_tried);
-  EXPECT_EQ(linear_stats.index_hits, 0u);
-  EXPECT_EQ(linear_stats.index_misses, 0u);
 
   uint64_t applies_before = ks::Metrics().GetCounter("ksplice.applies").value();
   uint64_t pauses_before =
@@ -512,9 +500,9 @@ TEST(ReportTest, FullCyclePopulatesCreateApplyUndoReports) {
 
 TEST(ReportTest, MatchStatsCountEachCandidateAttemptOnce) {
   // Regression: deferred ambiguous sections used to re-try (and re-count)
-  // every candidate on every fixpoint pass, inflating candidates_tried and
-  // pre_bytes_walked. With the attempt cache each (section, candidate)
-  // pair is verified exactly once, however many passes run.
+  // every candidate on every fixpoint pass, inflating candidates_tried.
+  // With the attempt cache each (section, candidate) pair is verified
+  // exactly once, however many passes run.
   SourceTree tree;
   // Two same-named static functions with different bodies: the ambiguous
   // unit defers on pass 1 (both `pick` copies match some candidate until
@@ -556,55 +544,28 @@ int entry_b(int x) {
       kcc::CompileUnit(tree, "b.kc", pre_options);
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
 
-  // Linear mode, so the prefilter cannot reduce the candidate count: the
-  // unit has two sections (.text.pick with 2 candidates, .text.entry_b
+  // The unit has two sections (.text.pick with 2 candidates, .text.entry_b
   // with 1), hence exactly 3 verification attempts — even if ambiguity
   // forces extra fixpoint passes. The b.kc copy of `pick` differs from
   // a.kc's in imm32 constants only, which run-pre content comparison
   // resolves directly.
-  RunPreMatcher linear(**machine, nullptr,
-                       MatcherOptions{.use_index = false});
-  MatchStats linear_stats;
-  ks::Result<UnitMatch> linear_match =
-      linear.MatchUnit(*pre, &linear_stats);
-  ASSERT_TRUE(linear_match.ok()) << linear_match.status().ToString();
-  EXPECT_EQ(linear_stats.sections_matched, 2u);
-  EXPECT_EQ(linear_stats.candidates_tried, 3u);
-  EXPECT_EQ(linear_stats.ambiguity_deferrals, 0u);
-  EXPECT_EQ(linear_stats.fixpoint_passes, 1u);
+  RunPreMatcher matcher(**machine);
+  MatchStats stats;
+  ks::Result<UnitMatch> match = matcher.MatchUnit(*pre, &stats);
+  ASSERT_TRUE(match.ok()) << match.status().ToString();
+  EXPECT_EQ(stats.sections_matched, 2u);
+  EXPECT_EQ(stats.candidates_tried, 3u);
+  EXPECT_EQ(stats.ambiguity_deferrals, 0u);
+  EXPECT_EQ(stats.fixpoint_passes, 1u);
 
-  // The per-attempt pre byte walk is bounded by one full walk of each
-  // attempted (section, candidate) pair: no multiple of it can be charged
-  // again by later passes.
-  const kelf::ObjectFile& pre_obj = *pre;
-  uint64_t text_bytes = 0;
-  uint64_t pick_bytes = 0;
-  for (const kelf::Section& section : pre_obj.sections()) {
-    if (section.kind != kelf::SectionKind::kText || section.bytes.empty()) {
-      continue;
-    }
-    text_bytes += section.bytes.size();
-    if (section.name == ".text.pick") {
-      pick_bytes = section.bytes.size();
+  // `pick` resolves to b.kc's own copy.
+  bool bound_to_b = false;
+  for (const kelf::LinkedSymbol& sym : (*machine)->SymbolsNamed("pick")) {
+    if (sym.address == match->symbol_values.at("pick") && sym.unit == "b.kc") {
+      bound_to_b = true;
     }
   }
-  ASSERT_GT(pick_bytes, 0u);
-  // 3 attempts: both `pick` candidates walk up to .text.pick bytes, the
-  // unique entry_b candidate walks its section once.
-  EXPECT_LE(linear_stats.pre_bytes_walked, text_bytes + pick_bytes);
-  EXPECT_GT(linear_stats.pre_bytes_walked, 0u);
-
-  // Indexed mode agrees on every decision and never exceeds the linear
-  // attempt count.
-  RunPreMatcher indexed(**machine);
-  MatchStats indexed_stats;
-  ks::Result<UnitMatch> indexed_match =
-      indexed.MatchUnit(*pre, &indexed_stats);
-  ASSERT_TRUE(indexed_match.ok()) << indexed_match.status().ToString();
-  EXPECT_EQ(indexed_match->symbol_values, linear_match->symbol_values);
-  EXPECT_EQ(indexed_stats.sections_matched, 2u);
-  EXPECT_LE(indexed_stats.candidates_tried, linear_stats.candidates_tried);
-  EXPECT_EQ(indexed_stats.fixpoint_passes, linear_stats.fixpoint_passes);
+  EXPECT_TRUE(bound_to_b);
 }
 
 }  // namespace

@@ -122,7 +122,6 @@ int UsageError(const std::string& message);
 
 struct GlobalOptions {
   int jobs = 1;          // -j N (0 = one worker per hardware thread)
-  bool use_index = true;  // --no-index: linear run-pre matcher fallback
   std::string faults;    // --faults=PLAN (deterministic fault injection)
   bool trace = false;    // --trace[=FILE]
   std::string trace_file;    // empty => summary table on stderr at exit
@@ -182,10 +181,6 @@ const FlagSpec kFlags[] = {
        g_options.trace = true;
        g_options.trace_file = v;
      }},
-    {"--no-index", FlagSpec::kNone, nullptr,
-     "disable the run-pre canonical n-gram index; fall back to the linear "
-     "per-candidate matcher (same decisions, more bytes walked)",
-     [](const std::string&) { g_options.use_index = false; }},
     {"--metrics", FlagSpec::kRequired, "FILE",
      "write the metrics registry (counters/gauges/histograms) as JSON to "
      "FILE at exit",
@@ -821,10 +816,7 @@ int CmdDemo(const std::vector<std::string>& args) {
   }
   PrintCreateReport(created->report);
   ksplice::KspliceCore core(machine->get());
-  ksplice::ApplyOptions apply_options;
-  apply_options.use_index = g_options.use_index;
-  ks::Result<ksplice::ApplyReport> applied =
-      core.Apply(created->package, apply_options);
+  ks::Result<ksplice::ApplyReport> applied = core.Apply(created->package);
   if (!applied.ok()) {
     return Fail(applied.status());
   }
@@ -874,7 +866,6 @@ int CmdApply(const std::vector<std::string>& args) {
   ksplice::KspliceCore core(machine->get());
   ksplice::ApplyOptions options;
   options.jobs = g_options.jobs;
-  options.use_index = g_options.use_index;
   options.force = g_cmd.force;
   if (packages->size() == 1) {
     ks::Result<ksplice::ApplyReport> applied =
@@ -914,7 +905,6 @@ int CmdStatus(const std::vector<std::string>& args) {
   if (!packages->empty()) {
     ksplice::ApplyOptions options;
     options.jobs = g_options.jobs;
-    options.use_index = g_options.use_index;
     ks::Result<ksplice::BatchApplyReport> applied =
         core.ApplyAll(*packages, options);
     if (!applied.ok()) {
@@ -1096,7 +1086,6 @@ int CmdRollout(const std::vector<std::string>& args) {
   if (plan.soak_ticks != 0) {
     plan.soak_entry = "stress_main";  // every corpus kernel ships it
   }
-  plan.apply.use_index = g_options.use_index;
   ks::Result<ksplice::RolloutReport> report =
       fleet::RunRollout(*machines, *packages, plan);
   if (!report.ok()) {
