@@ -6,17 +6,7 @@ namespace ksplice {
 
 namespace {
 
-std::string Escaped(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
+using ks::JsonEscaped;
 
 std::string JoinJson(const std::vector<std::string>& parts) {
   std::string out = "[";
@@ -99,9 +89,10 @@ std::string LintFinding::ToJson() const {
       "{\"rule\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\","
       "\"unit\":\"%s\",\"symbol\":\"%s\"%s,\"message\":\"%s\","
       "\"hint\":\"%s\"}",
-      Escaped(rule).c_str(), LintSeverityName(severity),
-      Escaped(pass).c_str(), Escaped(unit).c_str(), Escaped(symbol).c_str(),
-      offset_field.c_str(), Escaped(message).c_str(), Escaped(hint).c_str());
+      JsonEscaped(rule).c_str(), LintSeverityName(severity),
+      JsonEscaped(pass).c_str(), JsonEscaped(unit).c_str(),
+      JsonEscaped(symbol).c_str(), offset_field.c_str(),
+      JsonEscaped(message).c_str(), JsonEscaped(hint).c_str());
 }
 
 std::string LintFindingsJson(const std::vector<LintFinding>& findings) {
@@ -119,7 +110,7 @@ std::string LintReport::ToJson() const {
       "\"blocks_analyzed\":%llu,\"insns_decoded\":%llu,"
       "\"data_sections_compared\":%llu,\"functions_summarized\":%llu,"
       "\"findings\":%s}",
-      Escaped(id).c_str(), errors(),
+      JsonEscaped(id).c_str(), errors(),
       CountAtLeast(LintSeverity::kWarning) - errors(),
       findings.size() - CountAtLeast(LintSeverity::kWarning),
       U(functions_scanned), U(call_edges), U(blocks_analyzed),
@@ -133,7 +124,7 @@ std::string UnitReport::ToJson() const {
       "\"pre_text_bytes\":%u,\"post_text_bytes\":%u,"
       "\"sections_compared\":%u,\"sections_changed\":%u,"
       "\"text_changed\":%u,\"data_changed\":%u}",
-      Escaped(unit).c_str(), pre_cache_hit ? "true" : "false",
+      JsonEscaped(unit).c_str(), pre_cache_hit ? "true" : "false",
       post_cache_hit ? "true" : "false", pre_text_bytes, post_text_bytes,
       sections_compared, sections_changed, text_changed, data_changed);
 }
@@ -142,8 +133,8 @@ std::string ChangedFunction::ToJson() const {
   return ks::StrPrintf(
       "{\"unit\":\"%s\",\"symbol\":\"%s\",\"change\":\"%s\","
       "\"pre_size\":%u,\"post_size\":%u}",
-      Escaped(unit).c_str(), Escaped(symbol).c_str(),
-      Escaped(change).c_str(), pre_size, post_size);
+      JsonEscaped(unit).c_str(), JsonEscaped(symbol).c_str(),
+      JsonEscaped(change).c_str(), pre_size, post_size);
 }
 
 std::string CreateReport::ToJson() const {
@@ -160,7 +151,7 @@ std::string CreateReport::ToJson() const {
       "\"cache_misses\":%llu,\"prepost_wall_ns\":%llu,"
       "\"create_wall_ns\":%llu,\"targets\":%u,\"units\":%s,"
       "\"changed_functions\":%s,\"lint\":%s}",
-      Escaped(id).c_str(), units_rebuilt, U(cache_hits), U(cache_misses),
+      JsonEscaped(id).c_str(), units_rebuilt, U(cache_hits), U(cache_misses),
       U(prepost_wall_ns), U(create_wall_ns), targets,
       JoinJson(unit_rows).c_str(), JoinJson(fn_rows).c_str(),
       lint.ToJson().c_str());
@@ -171,7 +162,7 @@ std::string SpliceRecord::ToJson() const {
       "{\"unit\":\"%s\",\"symbol\":\"%s\",\"orig_address\":%u,"
       "\"repl_address\":%u,\"code_size\":%u,\"repl_size\":%u,"
       "\"trampoline_bytes\":%u}",
-      Escaped(unit).c_str(), Escaped(symbol).c_str(), orig_address,
+      JsonEscaped(unit).c_str(), JsonEscaped(symbol).c_str(), orig_address,
       repl_address, code_size, repl_size, trampoline_bytes);
 }
 
@@ -183,7 +174,7 @@ std::string QuiescenceBlocker::ToJson() const {
 
 std::string StageTiming::ToJson() const {
   return ks::StrPrintf("{\"stage\":\"%s\",\"wall_ns\":%llu}",
-                       Escaped(stage).c_str(), U(wall_ns));
+                       JsonEscaped(stage).c_str(), U(wall_ns));
 }
 
 namespace {
@@ -216,7 +207,7 @@ std::string ApplyReport::ToJson() const {
       "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
       "\"helper_bytes\":%llu,\"primary_bytes\":%u,\"trampoline_bytes\":%u,"
       "\"helper_retained\":%s,\"stages\":%s,\"blockers\":%s}",
-      Escaped(id).c_str(), JoinJson(fn_rows).c_str(),
+      JsonEscaped(id).c_str(), JoinJson(fn_rows).c_str(),
       match.ToJson().c_str(), attempts, quiescence_retries, U(pause_ns),
       U(retry_ticks), U(helper_bytes), primary_bytes, trampoline_bytes,
       helper_retained ? "true" : "false", StagesJson(stages).c_str(),
@@ -244,7 +235,7 @@ std::string UndoReport::ToJson() const {
       "\"bytes_restored\":%u,\"primary_bytes_reclaimed\":%u,"
       "\"helper_bytes_reclaimed\":%u,\"out_of_order\":%s,"
       "\"chains_rewritten\":%u,\"blockers\":%s}",
-      Escaped(id).c_str(), functions_restored, attempts,
+      JsonEscaped(id).c_str(), functions_restored, attempts,
       quiescence_retries, U(pause_ns), U(retry_ticks), bytes_restored,
       primary_bytes_reclaimed, helper_bytes_reclaimed,
       out_of_order ? "true" : "false", chains_rewritten,
@@ -255,8 +246,9 @@ std::string AttributedFault::ToJson() const {
   return ks::StrPrintf(
       "{\"update\":\"%s\",\"unit\":\"%s\",\"symbol\":\"%s\",\"tid\":%d,"
       "\"pc\":%u,\"tick\":%llu,\"reason\":\"%s\"}",
-      Escaped(update).c_str(), Escaped(unit).c_str(),
-      Escaped(symbol).c_str(), tid, pc, U(tick), Escaped(reason).c_str());
+      JsonEscaped(update).c_str(), JsonEscaped(unit).c_str(),
+      JsonEscaped(symbol).c_str(), tid, pc, U(tick),
+      JsonEscaped(reason).c_str());
 }
 
 namespace {
@@ -276,17 +268,17 @@ std::string RevertReport::ToJson() const {
       "{\"id\":\"%s\",\"package_hash\":%llu,\"trigger\":%s,"
       "\"detected_tick\":%llu,\"attempts\":%d,\"backoff_ticks\":%llu,"
       "\"reverted\":%s,\"quarantined\":%s,\"error\":\"%s\",\"undo\":%s}",
-      Escaped(id).c_str(), U(package_hash), trigger.ToJson().c_str(),
+      JsonEscaped(id).c_str(), U(package_hash), trigger.ToJson().c_str(),
       U(detected_tick), attempts, U(backoff_ticks),
       reverted ? "true" : "false", quarantined ? "true" : "false",
-      Escaped(error).c_str(), undo.ToJson().c_str());
+      JsonEscaped(error).c_str(), undo.ToJson().c_str());
 }
 
 std::string WatchdogReport::ToJson() const {
   std::vector<std::string> unattributed_rows;
   for (const std::string& line : unattributed) {
     unattributed_rows.push_back(
-        ks::StrPrintf("\"%s\"", Escaped(line).c_str()));
+        ks::StrPrintf("\"%s\"", JsonEscaped(line).c_str()));
   }
   std::vector<std::string> revert_rows;
   for (const RevertReport& revert : reverts) {
@@ -307,8 +299,8 @@ std::string QuarantineEntry::ToJson() const {
   return ks::StrPrintf(
       "{\"id\":\"%s\",\"package_hash\":%llu,\"evidence\":\"%s\","
       "\"tid\":%d,\"pc\":%u,\"tick\":%llu}",
-      Escaped(id).c_str(), U(package_hash), Escaped(evidence).c_str(), tid,
-      pc, U(tick));
+      JsonEscaped(id).c_str(), U(package_hash),
+      JsonEscaped(evidence).c_str(), tid, pc, U(tick));
 }
 
 std::string HealthStatus::ToJson() const {
@@ -324,13 +316,13 @@ std::string HealthStatus::ToJson() const {
 std::string UpdateStatusRow::ToJson() const {
   std::vector<std::string> symbol_rows;
   for (const std::string& symbol : symbols) {
-    symbol_rows.push_back(ks::StrPrintf("\"%s\"", Escaped(symbol).c_str()));
+    symbol_rows.push_back(ks::StrPrintf("\"%s\"", JsonEscaped(symbol).c_str()));
   }
   return ks::StrPrintf(
       "{\"id\":\"%s\",\"functions\":%u,\"helper_loaded\":%s,"
       "\"helper_bytes\":%u,\"primary_bytes\":%u,\"trampoline_bytes\":%u,"
       "\"attributed_faults\":%llu,\"symbols\":%s}",
-      Escaped(id).c_str(), functions, helper_loaded ? "true" : "false",
+      JsonEscaped(id).c_str(), functions, helper_loaded ? "true" : "false",
       helper_bytes, primary_bytes, trampoline_bytes, U(attributed_faults),
       JoinJson(symbol_rows).c_str());
 }
@@ -377,10 +369,10 @@ std::string RolloutNodeReport::ToJson() const {
       "\"outcome\":\"%s\",\"pause_ns\":%llu,\"attempts\":%d,"
       "\"quiescence_retries\":%d,\"functions_spliced\":%u,"
       "\"soak_faults\":%llu,\"error\":\"%s\"}",
-      Escaped(node).c_str(), Escaped(version).c_str(), wave,
+      JsonEscaped(node).c_str(), JsonEscaped(version).c_str(), wave,
       canary ? "true" : "false", RolloutNodeOutcomeName(outcome),
       U(pause_ns), attempts, quiescence_retries, functions_spliced,
-      U(soak_faults), Escaped(error).c_str());
+      U(soak_faults), JsonEscaped(error).c_str());
 }
 
 std::string RolloutWaveReport::ToJson() const {
@@ -406,7 +398,7 @@ std::string RolloutReport::ToJson() const {
   std::vector<std::string> blacklist_rows;
   for (const std::string& entry : blacklisted) {
     blacklist_rows.push_back(
-        ks::StrPrintf("\"%s\"", Escaped(entry).c_str()));
+        ks::StrPrintf("\"%s\"", JsonEscaped(entry).c_str()));
   }
   return ks::StrPrintf(
       "{\"id\":\"%s\",\"fleet_size\":%u,\"aborted\":%s,"
@@ -417,7 +409,7 @@ std::string RolloutReport::ToJson() const {
       "\"nodes_per_sec\":%.3f,\"pause_p50_ns\":%llu,"
       "\"pause_p99_ns\":%llu,\"pause_max_ns\":%llu,\"wave_reports\":%s,"
       "\"nodes\":%s}",
-      Escaped(id).c_str(), fleet_size, aborted ? "true" : "false",
+      JsonEscaped(id).c_str(), fleet_size, aborted ? "true" : "false",
       tripped_wave, waves, patched, already_applied, skipped_stale, failed,
       rolled_back, auto_reverted, not_attempted,
       JoinJson(blacklist_rows).c_str(), U(wall_ns), nodes_per_sec,

@@ -232,7 +232,7 @@ struct ApplyReport {
   std::string ToJson() const;
 };
 
-// What UpdateManager::ApplyAll did: one transaction over N packages with a
+// What KspliceCore::ApplyAll did: one transaction over N packages with a
 // single shared rendezvous. The attempts/pause numbers are properties of
 // the batch, not of any one update.
 struct BatchApplyReport {
@@ -340,7 +340,7 @@ struct QuarantineEntry {
 
 // Machine-health summary for `ksplice_tool status --json`'s "health"
 // block: lifetime fault counters plus the attributed-fault evidence the
-// manager has accumulated.
+// core has accumulated.
 struct HealthStatus {
   uint64_t faults_total = 0;       // machine-lifetime fault count
   uint64_t faults_attributed = 0;  // faults attributed to applied updates

@@ -10,7 +10,6 @@
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/strings.h"
-#include "base/threadpool.h"
 #include "base/trace.h"
 #include "ksplice/rendezvous.h"
 #include "kvx/isa.h"
@@ -98,9 +97,9 @@ const char* TxnSpanName(TxnStage stage) {
 
 }  // namespace
 
-UpdateTransaction::UpdateTransaction(UpdateManager* manager,
+UpdateTransaction::UpdateTransaction(KspliceCore* core,
                                      const ApplyOptions& options)
-    : manager_(manager), machine_(manager->machine()), options_(options) {}
+    : core_(core), machine_(core->machine()), options_(options) {}
 
 ks::Status UpdateTransaction::RunStage(TxnStage stage,
                                        const std::function<ks::Status()>& fn) {
@@ -126,7 +125,7 @@ ks::Status UpdateTransaction::Prepare(
   std::set<std::string> ids;
   std::map<std::pair<std::string, std::string>, std::string> targets;
   for (const UpdatePackage& package : packages) {
-    for (const AppliedUpdate& existing : manager_->applied()) {
+    for (const AppliedUpdate& existing : core_->applied()) {
       if (existing.id == package.id) {
         return ks::AlreadyExists(ks::StrPrintf(
             "update %s is already applied", package.id.c_str()));
@@ -142,7 +141,7 @@ ks::Status UpdateTransaction::Prepare(
     // re-apply gets a clean slate for the next soak.
     uint64_t package_hash = PackageContentHash(package);
     std::optional<QuarantineEntry> quarantined =
-        manager_->quarantine().Find(package_hash);
+        core_->quarantine().Find(package_hash);
     if (quarantined.has_value()) {
       if (!options_.force) {
         return ks::FailedPrecondition(ks::StrPrintf(
@@ -152,7 +151,7 @@ ks::Status UpdateTransaction::Prepare(
             static_cast<unsigned long long>(package_hash),
             quarantined->evidence.c_str()));
       }
-      manager_->quarantine().Remove(package_hash);
+      core_->quarantine().Remove(package_hash);
       KS_LOG(kInfo) << "force-applying quarantined package " << package.id;
     }
     // Packages inside one batch must be independent: two packages that
@@ -182,43 +181,26 @@ ks::Status UpdateTransaction::Prepare(
 
 ks::Status UpdateTransaction::Match() {
   KS_FAULT_POINT("ksplice.txn.match");
-  // Every (package, helper unit) pair is independent: all packages match
-  // against the committed registry (batches are disjoint by Prepare), and
-  // MatchUnit only reads the machine. Fan the pairs out across the match
-  // pool, then merge stats and pick the first failure in input order so
-  // the outcome is identical at any worker count.
-  struct Task {
-    Staged* staged;
-    const kelf::ObjectFile* helper;
-  };
-  std::vector<Task> tasks;
-  for (Staged& staged : staged_) {
-    for (const kelf::ObjectFile& helper : staged.package->helper_objects) {
-      tasks.push_back(Task{&staged, &helper});
-    }
-  }
+  // Every (package, helper unit) pair matches against the committed
+  // registry (batches are disjoint by Prepare), in input order; the first
+  // failure aborts the stage.
   RunPreMatcher matcher(
       *machine_,
       [this](const std::string& unit, const std::string& symbol) {
-        return manager_->CurrentCode(unit, symbol);
+        return core_->CurrentCode(unit, symbol);
       });
-  std::vector<MatchStats> stats(tasks.size());
-  std::vector<ks::Result<UnitMatch>> results(
-      tasks.size(), ks::Result<UnitMatch>(ks::Internal("not matched")));
-  ks::ParallelFor(options_.jobs, tasks.size(), [&](size_t i) {
-    results[i] = matcher.MatchUnit(*tasks[i].helper, &stats[i]);
-  });
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].staged->report.match.MergeFrom(stats[i]);
-    if (!results[i].ok()) {
-      return ks::Status(results[i].status())
-          .WithContext(ks::StrPrintf(
-              "applying %s", tasks[i].staged->package->id.c_str()));
+  for (Staged& staged : staged_) {
+    for (const kelf::ObjectFile& helper : staged.package->helper_objects) {
+      MatchStats stats;
+      ks::Result<UnitMatch> match = matcher.MatchUnit(helper, &stats);
+      staged.report.match.MergeFrom(stats);
+      if (!match.ok()) {
+        return ks::Status(match.status())
+            .WithContext(ks::StrPrintf("applying %s",
+                                       staged.package->id.c_str()));
+      }
+      staged.matches.emplace(helper.source_name(), std::move(match).value());
     }
-  }
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].staged->matches.emplace(tasks[i].helper->source_name(),
-                                     std::move(results[i]).value());
   }
   return ks::OkStatus();
 }
@@ -293,7 +275,7 @@ ks::Status UpdateTransaction::Load() {
     staged.report.primary_bytes = primary_info->size;
 
     // The import bindings the link chose, for the out-of-order undo
-    // dependency check (manager.h).
+    // dependency check (core.h).
     ks::Result<std::vector<std::pair<std::string, uint32_t>>> imports =
         machine_->ModuleImports(*primary_handle);
     if (!imports.ok()) {
@@ -322,7 +304,7 @@ ks::Status UpdateTransaction::Load() {
       fn.code_address = matched.run_address;
       fn.code_size = matched.run_size;
       const AppliedFunction* previous =
-          manager_->FindApplied(target.unit, target.symbol);
+          core_->FindApplied(target.unit, target.symbol);
       fn.orig_address =
           previous != nullptr ? previous->orig_address : matched.run_address;
 
@@ -378,7 +360,7 @@ ks::Status UpdateTransaction::PreApply() {
     // did run are compensated by this package's post_reverse stage during
     // rollback.
     staged.pre_applied = true;
-    ks::Status hooks = manager_->RunHooks(staged.update.hooks.pre_apply);
+    ks::Status hooks = core_->RunHooks(staged.update.hooks.pre_apply);
     if (!hooks.ok()) {
       return hooks.WithContext(
           ks::StrPrintf("applying %s", staged.package->id.c_str()));
@@ -414,11 +396,11 @@ ks::Status UpdateTransaction::Rendezvous() {
         (void)m.WriteBytes(it->first, it->second);
       }
       for (size_t i = hooked; i-- > 0;) {
-        manager_->RunHooksBestEffort(staged_[i].update.hooks.reverse);
+        core_->RunHooksBestEffort(staged_[i].update.hooks.reverse);
       }
     };
     for (Staged& staged : staged_) {
-      ks::Status hooks = manager_->RunHooks(staged.update.hooks.apply);
+      ks::Status hooks = core_->RunHooks(staged.update.hooks.apply);
       if (!hooks.ok()) {
         unwind();
         return hooks;
@@ -473,7 +455,7 @@ ks::Status UpdateTransaction::Commit() {
   ks::Status first_error = ks::Faults().Check("ksplice.txn.commit");
   for (Staged& staged : staged_) {
     if (first_error.ok()) {
-      ks::Status hooks = manager_->RunHooks(staged.update.hooks.post_apply);
+      ks::Status hooks = core_->RunHooks(staged.update.hooks.post_apply);
       if (!hooks.ok()) {
         first_error = hooks.WithContext("post_apply");
       }
@@ -519,7 +501,7 @@ ks::Status UpdateTransaction::Commit() {
     arena_bytes.Add(report.helper_bytes);
 
     size_t function_count = staged.update.functions.size();
-    manager_->Register(std::move(staged.update));
+    core_->Register(std::move(staged.update));
     KS_LOG(kInfo) << "applied " << staged.package->id << " ("
                   << function_count << " functions)";
   }
@@ -550,7 +532,7 @@ void UpdateTransaction::Rollback(TxnStage failed) {
   // that clears them (§5.3).
   for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
     if (it->pre_applied) {
-      manager_->RunHooksBestEffort(it->update.hooks.post_reverse);
+      core_->RunHooksBestEffort(it->update.hooks.post_reverse);
     }
   }
   // Drop every module this transaction loaded in one group unload.
@@ -559,7 +541,7 @@ void UpdateTransaction::Rollback(TxnStage failed) {
 
 ks::Result<BatchApplyReport> UpdateTransaction::Run(
     std::span<const UpdatePackage> packages) {
-  group_ = manager_->NextTransactionGroup();
+  group_ = core_->NextTransactionGroup();
 
   ks::Status prepared = RunStage(TxnStage::kPrepare, [this, packages] {
     return Prepare(packages);

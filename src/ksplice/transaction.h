@@ -1,4 +1,6 @@
-// UpdateTransaction: the staged apply engine.
+// UpdateTransaction: the staged apply engine behind KspliceCore::Apply and
+// ApplyAll (core.h). It is a friend of the core: it reads the registry and
+// registers each committed update there.
 //
 // Applying updates is a transaction over six stages:
 //
@@ -16,8 +18,7 @@
 // pre_apply stages are compensated by running that package's post_reverse
 // hooks (the stage that normally undoes pre_apply's setup), and all
 // modules the transaction loaded are dropped with one group unload — the
-// machine ends byte-identical to its pre-apply state. This closes the old
-// core's documented "side effects of pre_apply are NOT rolled back" gap.
+// machine ends byte-identical to its pre-apply state.
 //
 // A single-package Apply is just a batch of one: same stages, same
 // rollback, one function list in the rendezvous.
@@ -32,7 +33,7 @@
 #include <vector>
 
 #include "base/status.h"
-#include "ksplice/manager.h"
+#include "ksplice/core.h"
 #include "ksplice/package.h"
 #include "ksplice/report.h"
 #include "ksplice/runpre.h"
@@ -52,10 +53,10 @@ const char* TxnStageName(TxnStage stage);
 
 class UpdateTransaction {
  public:
-  UpdateTransaction(UpdateManager* manager, const ApplyOptions& options);
+  UpdateTransaction(KspliceCore* core, const ApplyOptions& options);
 
   // Runs the transaction over `packages`. On success every package is
-  // registered with the manager and the batch report describes the shared
+  // registered with the core and the batch report describes the shared
   // rendezvous plus one ApplyReport per package. On failure the machine is
   // rolled back to its pre-apply state (exception: a post_apply hook
   // failure after the splice leaves the updates registered, matching
@@ -90,7 +91,7 @@ class UpdateTransaction {
   ks::Status RunStage(TxnStage stage,
                       const std::function<ks::Status()>& fn);
 
-  UpdateManager* manager_;
+  KspliceCore* core_;
   kvm::Machine* machine_;
   ApplyOptions options_;
   std::string group_;  // module-group tag for this transaction's loads

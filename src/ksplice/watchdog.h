@@ -7,7 +7,7 @@
 // flag, the extable fixup rate, and per-thread stuck-PC detection — and
 // *attributes* each fault by mapping its PC against every applied
 // update's replacement-code ranges (and primary-module range) from the
-// UpdateManager registry. An attributed regression inside the window
+// KspliceCore registry. An attributed regression inside the window
 // drives an automatic revert through the existing undo path, with its own
 // attempt/backoff loop on top of the stop_machine retry policy; the
 // offending package is then quarantined by content hash (quarantine.h) so
@@ -28,7 +28,7 @@
 // Failure semantics mirror the undo engine's restore-or-abort contract: a
 // failed revert attempt leaves the update completely applied; retries run
 // under ScopedFaultSuppression (recovery code is exempt from fault
-// injection, the same exemption PR 5 gave manual undo compensation), so
+// injection, the same exemption manual undo compensation has), so
 // chaos plans can fail the first attempt but cannot wedge the safety net.
 
 #ifndef KSPLICE_KSPLICE_WATCHDOG_H_
@@ -40,7 +40,7 @@
 #include <string>
 
 #include "base/status.h"
-#include "ksplice/manager.h"
+#include "ksplice/core.h"
 #include "ksplice/report.h"
 
 namespace ksplice {
@@ -86,7 +86,7 @@ const char* WatchdogStateName(WatchdogState state);
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(UpdateManager* manager,
+  explicit HealthMonitor(KspliceCore* core,
                          const WatchdogOptions& options = {});
 
   // Runs one soak window: alternates Advance(sample_ticks) with sampling
@@ -129,7 +129,7 @@ class HealthMonitor {
   void CheckStuckThreads(bool in_window);
   void MaybeRevert(const AttributedFault& trigger, bool in_window);
 
-  UpdateManager* manager_;
+  KspliceCore* core_;
   kvm::Machine* machine_;
   WatchdogOptions options_;
   WatchdogState state_ = WatchdogState::kMonitoring;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "base/metrics.h"
+#include "base/strings.h"
 #include "base/trace.h"
 #include "kcc/compile.h"
 #include "kcc/objcache.h"
@@ -129,6 +130,9 @@ class JsonChecker {
     }
     ++pos_;
     while (pos_ < text_.size() && text_[pos_] != '"') {
+      if (static_cast<unsigned char>(text_[pos_]) < 0x20) {
+        return false;  // raw control characters must be escaped
+      }
       if (text_[pos_] == '\\') {
         ++pos_;  // skip the escaped character
         if (pos_ >= text_.size()) {
@@ -566,6 +570,30 @@ int entry_b(int x) {
     }
   }
   EXPECT_TRUE(bound_to_b);
+}
+
+TEST(ReportTest, JsonStringsEscapeControlCharacters) {
+  // A run-pre diagnostic spans several lines and reaches a stale node's
+  // rollout error verbatim; the report must still be valid JSON.
+  RolloutNodeReport node;
+  node.node = "n0";
+  node.version = "v2.6.1";
+  node.outcome = RolloutNodeOutcome::kSkippedStale;
+  node.error = "a\n  b\"c\\";
+  std::string json = node.ToJson();
+  EXPECT_TRUE(ValidJson(json)) << json;
+  EXPECT_EQ(json,
+            R"({"node":"n0","version":"v2.6.1","wave":-1,"canary":false,)"
+            R"("outcome":"skipped_stale","pause_ns":0,"attempts":0,)"
+            R"("quiescence_retries":0,"functions_spliced":0,)"
+            R"("soak_faults":0,"error":"a\n  b\"c\\"})");
+  EXPECT_EQ(ks::JsonEscaped("\t\r\x01\x1f"), R"(\t\u000d\u0001\u001f)");
+
+  // Without control characters only quote and backslash change, so such
+  // strings serialize exactly as they did before control escaping.
+  const std::string plain = "v2.6.1 \"quoted\" C:\\dir caf\xc3\xa9 ~";
+  EXPECT_EQ(ks::JsonEscaped(plain), R"(v2.6.1 \"quoted\" C:\\dir caf)"
+                                    "\xc3\xa9 ~");
 }
 
 }  // namespace

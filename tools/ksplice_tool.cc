@@ -559,7 +559,7 @@ int RunWatch(ksplice::KspliceCore& core, kvm::Machine* machine) {
   }
   ksplice::WatchdogOptions options;
   options.soak_ticks = g_cmd.watch_ticks;
-  ksplice::HealthMonitor monitor(&core.manager(), options);
+  ksplice::HealthMonitor monitor(&core, options);
   ksplice::WatchdogReport soak = monitor.Soak();
   std::printf(
       "watchdog: %llu-tick soak, %llu sample(s): %llu fault(s), "
@@ -865,7 +865,6 @@ int CmdApply(const std::vector<std::string>& args) {
   }
   ksplice::KspliceCore core(machine->get());
   ksplice::ApplyOptions options;
-  options.jobs = g_options.jobs;
   options.force = g_cmd.force;
   if (packages->size() == 1) {
     ks::Result<ksplice::ApplyReport> applied =
@@ -903,10 +902,7 @@ int CmdStatus(const std::vector<std::string>& args) {
   }
   ksplice::KspliceCore core(machine->get());
   if (!packages->empty()) {
-    ksplice::ApplyOptions options;
-    options.jobs = g_options.jobs;
-    ks::Result<ksplice::BatchApplyReport> applied =
-        core.ApplyAll(*packages, options);
+    ks::Result<ksplice::BatchApplyReport> applied = core.ApplyAll(*packages);
     if (!applied.ok()) {
       return Fail(applied.status());
     }
