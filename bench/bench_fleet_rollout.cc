@@ -22,10 +22,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "base/file.h"
 #include "base/metrics.h"
 #include "corpus/corpus.h"
 #include "fleet/corpus_fleet.h"
@@ -59,13 +59,20 @@ ks::Result<ksplice::UpdatePackage> BuildPackage(const char* cve) {
   return ks::NotFound(std::string("no corpus entry for ") + cve);
 }
 
-void WriteReport(const std::string& dir, const std::string& name,
-                 const std::string& json) {
+// Writes DIR/NAME when --report-dir was given. False, after saying why on
+// stderr, when the write failed.
+bool WriteReport(const std::string& dir, const std::string& name,
+                 const std::string& contents) {
   if (dir.empty()) {
-    return;
+    return true;
   }
-  std::ofstream out(dir + "/" + name);
-  out << json << "\n";
+  ks::Status written = ks::WriteFile(dir + "/" + name, contents);
+  if (!written.ok()) {
+    std::fprintf(stderr, "report write failed: %s\n",
+                 written.ToString().c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -142,9 +149,11 @@ int main(int argc, char** argv) {
                 report->nodes_per_sec,
                 static_cast<double>(p99_ns) / 1e6,
                 static_cast<double>(pauses.max()) / 1e6);
-    WriteReport(report_dir,
-                "rollout-" + std::to_string(nodes) + ".json",
-                report->ToJson());
+    if (!WriteReport(report_dir,
+                     "rollout-" + std::to_string(nodes) + ".json",
+                     report->ToJson() + "\n")) {
+      return 1;
+    }
   }
 
   // ---- Canary-failure drill: abort must leave zero partially patched.
@@ -178,9 +187,10 @@ int main(int argc, char** argv) {
                  aborted.status().ToString().c_str());
     return 1;
   }
-  WriteReport(report_dir, "rollout-drill.json", aborted->ToJson());
-  if (!report_dir.empty()) {
-    (void)ks::Metrics().WriteJson(report_dir + "/metrics.json");
+  if (!WriteReport(report_dir, "rollout-drill.json",
+                   aborted->ToJson() + "\n") ||
+      !WriteReport(report_dir, "metrics.json", ks::Metrics().ToJson())) {
+    return 1;
   }
 
   int violations = 0;

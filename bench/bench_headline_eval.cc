@@ -23,10 +23,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 
+#include "base/file.h"
 #include "base/metrics.h"
 #include "corpus/corpus.h"
 
@@ -81,8 +81,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (!report_dir.empty()) {
-      std::ofstream out(report_dir + "/" + outcome->cve + ".json");
-      out << outcome->ToJson() << "\n";
+      ks::Status written =
+          ks::WriteFile(report_dir + "/" + outcome->cve + ".json",
+                        outcome->ToJson() + "\n");
+      if (!written.ok()) {
+        std::fprintf(stderr, "[report] write failed: %s\n",
+                     written.ToString().c_str());
+        return 1;
+      }
     }
     std::printf("%-15s %5d %6d %7s %7s %8s %7s %7s\n", outcome->cve.c_str(),
                 outcome->patch_lines, outcome->targets,
@@ -170,10 +176,11 @@ int main(int argc, char** argv) {
   }
   if (!report_dir.empty()) {
     ks::Status written =
-        ks::Metrics().WriteJson(report_dir + "/metrics.json");
+        ks::WriteFile(report_dir + "/metrics.json", ks::Metrics().ToJson());
     if (!written.ok()) {
       std::fprintf(stderr, "[metrics] write failed: %s\n",
                    written.ToString().c_str());
+      return 1;
     }
   }
   return success == static_cast<int>(vulns.size()) ? 0 : 1;

@@ -25,11 +25,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/file.h"
 #include "base/metrics.h"
 #include "corpus/corpus.h"
 #include "kcc/compile.h"
@@ -242,9 +242,17 @@ int main(int argc, char** argv) {
   uint64_t wall_ns = NowNs() - start;
 
   if (!report_dir.empty()) {
-    std::ofstream out(report_dir + "/watchdog-drill.json");
-    out << report.ToJson() << "\n";
-    (void)ks::Metrics().WriteJson(report_dir + "/metrics.json");
+    ks::Status written = ks::WriteFile(report_dir + "/watchdog-drill.json",
+                                       report.ToJson() + "\n");
+    if (written.ok()) {
+      written = ks::WriteFile(report_dir + "/metrics.json",
+                              ks::Metrics().ToJson());
+    }
+    if (!written.ok()) {
+      std::fprintf(stderr, "report write failed: %s\n",
+                   written.ToString().c_str());
+      return 1;
+    }
   }
 
   int violations = 0;

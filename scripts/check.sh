@@ -41,6 +41,27 @@ print("trace + metrics JSON OK:",
       len(trace["traceEvents"]), "spans,", len(counters), "counters")
 EOF
 
+# Report-dir smoke: the headline sweep writes one EvalOutcome JSON per CVE
+# plus a registry snapshot into a directory that does not exist yet; every
+# file must parse, name its own CVE, and the sweep must succeed 64/64.
+echo "== bench_headline_eval --report-dir smoke =="
+build/bench/bench_headline_eval --report-dir="$obs_dir/eval/new" >/dev/null
+python3 - "$obs_dir/eval/new" <<'EOF'
+import json, pathlib, sys
+report_dir = pathlib.Path(sys.argv[1])
+reports = sorted(report_dir.glob("CVE-*.json"))
+assert len(reports) == 64, f"want 64 CVE reports, got {len(reports)}"
+json.load(open(report_dir / "metrics.json"))
+success = 0
+for path in reports:
+    outcome = json.load(open(path))
+    assert outcome["cve"] == path.stem, f"{path.name} holds {outcome['cve']}"
+    success += outcome["success"]
+assert success == 64, f"{success}/64 successes"
+print("report-dir OK:", len(reports), "CVE reports + metrics.json,",
+      success, "successes")
+EOF
+
 # Lint smoke: create a package from the prctl patch, run the kanalyze lint
 # over it (text + JSON), and validate the JSON shape: the fix must lint
 # clean and the .report.json sidecar must agree.

@@ -1,9 +1,9 @@
 #include "base/metrics.h"
 
 #include <bit>
-#include <fstream>
+#include <vector>
 
-#include "base/strings.h"
+#include "base/json.h"
 
 namespace ks {
 
@@ -139,65 +139,41 @@ std::map<std::string, uint64_t> MetricsRegistry::CounterValues() const {
 
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"counters\":{";
-  bool first = true;
+  JsonObject counters;
   for (const auto& [name, counter] : counters_) {
-    out += StrPrintf("%s\"%s\":%llu", first ? "" : ",", name.c_str(),
-                     static_cast<unsigned long long>(counter->value()));
-    first = false;
+    counters.Add(name, counter->value());
   }
-  out += "},\"gauges\":{";
-  first = true;
+  JsonObject gauges;
   for (const auto& [name, gauge] : gauges_) {
-    out += StrPrintf("%s\"%s\":%lld", first ? "" : ",", name.c_str(),
-                     static_cast<long long>(gauge->value()));
-    first = false;
+    gauges.Add(name, gauge->value());
   }
-  out += "},\"histograms\":{";
-  first = true;
+  JsonObject histograms;
   for (const auto& [name, histogram] : histograms_) {
-    out += StrPrintf(
-        "%s\"%s\":{\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu,"
-        "\"mean\":%.3f,\"buckets\":[",
-        first ? "" : ",", name.c_str(),
-        static_cast<unsigned long long>(histogram->count()),
-        static_cast<unsigned long long>(histogram->sum()),
-        static_cast<unsigned long long>(histogram->min()),
-        static_cast<unsigned long long>(histogram->max()),
-        histogram->mean());
-    bool first_bucket = true;
+    std::vector<JsonObject> buckets;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       uint64_t n = histogram->bucket(i);
       if (n == 0) {
         continue;
       }
       uint64_t bound = Histogram::BucketBound(i);
+      JsonObject bucket;
       if (bound == UINT64_MAX) {
-        out += StrPrintf("%s{\"le\":\"inf\",\"n\":%llu}",
-                         first_bucket ? "" : ",",
-                         static_cast<unsigned long long>(n));
+        bucket.Add("le", "inf");
       } else {
-        out += StrPrintf("%s{\"le\":%llu,\"n\":%llu}",
-                         first_bucket ? "" : ",",
-                         static_cast<unsigned long long>(bound),
-                         static_cast<unsigned long long>(n));
+        bucket.Add("le", bound);
       }
-      first_bucket = false;
+      buckets.push_back(bucket.Add("n", n));
     }
-    out += "]}";
-    first = false;
+    histograms.Add(name, JsonObject()
+                             .Add("count", histogram->count())
+                             .Add("sum", histogram->sum())
+                             .Add("min", histogram->min())
+                             .Add("max", histogram->max())
+                             .Add("mean", histogram->mean())
+                             .Add("buckets", buckets));
   }
-  out += "}}";
-  return out;
-}
-
-Status MetricsRegistry::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Internal("cannot write metrics to " + path);
-  }
-  out << ToJson();
-  return OkStatus();
+  return JsonObject().Add("counters", counters).Add("gauges", gauges)
+      .Add("histograms", histograms).str();
 }
 
 void MetricsRegistry::ResetAll() {

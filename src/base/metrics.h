@@ -27,8 +27,6 @@
 #include <mutex>
 #include <string>
 
-#include "base/status.h"
-
 namespace ks {
 
 // Monotonically increasing count.
@@ -105,7 +103,6 @@ class MetricsRegistry {
   // {"counters":{...},"gauges":{...},"histograms":{...}} — see DESIGN.md
   // for the schema.
   std::string ToJson() const;
-  Status WriteJson(const std::string& path) const;
 
   // Zeroes every instrument (names stay registered; references stay valid).
   void ResetAll();

@@ -36,10 +36,6 @@ std::string_view Trim(std::string_view text);
 // Formats a byte count or address as fixed-width hex: "0x0000f010".
 std::string Hex32(uint32_t value);
 
-// Escapes `text` for use inside a JSON string literal: quote, backslash,
-// \n and \t by name, every other control character as \u00XX.
-std::string JsonEscaped(std::string_view text);
-
 }  // namespace ks
 
 #endif  // KSPLICE_BASE_STRINGS_H_

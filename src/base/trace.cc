@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <map>
 #include <mutex>
 
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ks {
@@ -83,39 +83,24 @@ uint64_t TraceDropped() {
 }
 
 std::string TraceJson() {
-  std::vector<TraceEvent> events = TraceSnapshot();
-  std::string out = "{\"traceEvents\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    if (i != 0) {
-      out += ',';
+  std::vector<JsonObject> events;
+  for (const TraceEvent& event : TraceSnapshot()) {
+    JsonObject args;
+    args.Add("depth", event.depth).Add("ticks", event.ticks);
+    for (const auto& [key, value] : event.args) {
+      args.Add(key, value);
     }
     // Complete ("X") events with microsecond timestamps, the format both
     // chrome://tracing and Perfetto ingest.
-    out += StrPrintf(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-        "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d,\"ticks\":%llu",
-        JsonEscaped(event.name).c_str(), event.thread,
-        static_cast<double>(event.start_ns) / 1000.0,
-        static_cast<double>(event.dur_ns) / 1000.0, event.depth,
-        static_cast<unsigned long long>(event.ticks));
-    for (const auto& [key, value] : event.args) {
-      out += StrPrintf(",\"%s\":\"%s\"", JsonEscaped(key).c_str(),
-                       JsonEscaped(value).c_str());
-    }
-    out += "}}";
+    events.push_back(
+        JsonObject()
+            .Add("name", event.name).Add("ph", "X").Add("pid", 1)
+            .Add("tid", event.thread)
+            .Add("ts", static_cast<double>(event.start_ns) / 1000.0)
+            .Add("dur", static_cast<double>(event.dur_ns) / 1000.0)
+            .Add("args", args));
   }
-  out += "]}";
-  return out;
-}
-
-Status WriteTraceJson(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Internal("cannot write trace to " + path);
-  }
-  out << TraceJson();
-  return OkStatus();
+  return JsonObject().Add("traceEvents", events).str();
 }
 
 std::string TraceSummary() {

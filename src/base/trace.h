@@ -26,8 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/status.h"
-
 namespace ks {
 
 // One completed span.
@@ -56,7 +54,6 @@ uint64_t TraceDropped();
 
 // Chrome trace-viewer JSON ({"traceEvents":[...]}).
 std::string TraceJson();
-Status WriteTraceJson(const std::string& path);
 
 // Human-readable aggregation: per span name, count / total / mean wall
 // time and total ticks, sorted by total time descending.

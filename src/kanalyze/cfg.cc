@@ -159,7 +159,6 @@ std::optional<StackState> ApplyInsn(const kvx::Insn& insn,
 Cfg BuildCfg(const kelf::Section& section,
              const std::set<uint32_t>& extra_entry_points) {
   Cfg cfg;
-  const uint32_t size = static_cast<uint32_t>(section.bytes.size());
 
   std::set<uint32_t> reloc_fields;
   for (const kelf::Relocation& rel : section.relocs) {

@@ -169,8 +169,8 @@ ks::Result<PrePostResult> RunPrePost(const kdiff::SourceTree& pre_tree,
   };
   auto build_and_diff =
       [&](const std::string& unit) -> ks::Result<UnitOutcome> {
-    ks::TraceSpan span("prepost.build_and_diff");
-    span.Annotate("unit", unit);
+    ks::TraceSpan unit_span("prepost.build_and_diff");
+    unit_span.Annotate("unit", unit);
     UnitOutcome out{kelf::ObjectFile(unit), kelf::ObjectFile(unit), {}, {}};
     out.report.unit = unit;
     if (pre_tree.Exists(unit)) {

@@ -1,30 +1,9 @@
 #include "ksplice/report.h"
 
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ksplice {
-
-namespace {
-
-using ks::JsonEscaped;
-
-std::string JoinJson(const std::vector<std::string>& parts) {
-  std::string out = "[";
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += parts[i];
-  }
-  out += ']';
-  return out;
-}
-
-unsigned long long U(uint64_t v) {
-  return static_cast<unsigned long long>(v);
-}
-
-}  // namespace
 
 void MatchStats::MergeFrom(const MatchStats& other) {
   sections_matched += other.sections_matched;
@@ -44,21 +23,21 @@ void MatchStats::MergeFrom(const MatchStats& other) {
 }
 
 std::string MatchStats::ToJson() const {
-  return ks::StrPrintf(
-      "{\"sections_matched\":%llu,\"candidates_tried\":%llu,"
-      "\"run_bytes_matched\":%llu,\"nop_bytes_skipped\":%llu,"
-      "\"reloc_sites_inverted\":%llu,\"symbols_recovered\":%llu,"
-      "\"ambiguity_deferrals\":%llu,\"fixpoint_passes\":%llu,"
-      "\"pre_bytes_canonicalized\":%llu,\"run_bytes_canonicalized\":%llu,"
-      "\"revalidations\":%llu,\"extable_sections_matched\":%llu,"
-      "\"bug_table_sections_matched\":%llu,"
-      "\"date_time_sections_matched\":%llu}",
-      U(sections_matched), U(candidates_tried), U(run_bytes_matched),
-      U(nop_bytes_skipped), U(reloc_sites_inverted), U(symbols_recovered),
-      U(ambiguity_deferrals), U(fixpoint_passes),
-      U(pre_bytes_canonicalized), U(run_bytes_canonicalized),
-      U(revalidations), U(extable_sections_matched),
-      U(bug_table_sections_matched), U(date_time_sections_matched));
+  return ks::JsonObject()
+      .Add("sections_matched", sections_matched)
+      .Add("candidates_tried", candidates_tried)
+      .Add("run_bytes_matched", run_bytes_matched)
+      .Add("nop_bytes_skipped", nop_bytes_skipped)
+      .Add("reloc_sites_inverted", reloc_sites_inverted)
+      .Add("symbols_recovered", symbols_recovered)
+      .Add("ambiguity_deferrals", ambiguity_deferrals)
+      .Add("fixpoint_passes", fixpoint_passes)
+      .Add("pre_bytes_canonicalized", pre_bytes_canonicalized)
+      .Add("run_bytes_canonicalized", run_bytes_canonicalized)
+      .Add("revalidations", revalidations)
+      .Add("extable_sections_matched", extable_sections_matched)
+      .Add("bug_table_sections_matched", bug_table_sections_matched)
+      .Add("date_time_sections_matched", date_time_sections_matched).str();
 }
 
 std::string LintFinding::ToString() const {
@@ -83,264 +62,164 @@ std::string LintFinding::ToString() const {
 }
 
 std::string LintFinding::ToJson() const {
-  std::string offset_field =
-      has_offset ? ks::StrPrintf(",\"offset\":%u", offset) : "";
-  return ks::StrPrintf(
-      "{\"rule\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\","
-      "\"unit\":\"%s\",\"symbol\":\"%s\"%s,\"message\":\"%s\","
-      "\"hint\":\"%s\"}",
-      JsonEscaped(rule).c_str(), LintSeverityName(severity),
-      JsonEscaped(pass).c_str(), JsonEscaped(unit).c_str(),
-      JsonEscaped(symbol).c_str(), offset_field.c_str(),
-      JsonEscaped(message).c_str(), JsonEscaped(hint).c_str());
-}
-
-std::string LintFindingsJson(const std::vector<LintFinding>& findings) {
-  std::vector<std::string> rows;
-  for (const LintFinding& finding : findings) {
-    rows.push_back(finding.ToJson());
+  ks::JsonObject out;
+  out.Add("rule", rule).Add("severity", LintSeverityName(severity))
+      .Add("pass", pass).Add("unit", unit).Add("symbol", symbol);
+  if (has_offset) {
+    out.Add("offset", offset);
   }
-  return JoinJson(rows);
+  return out.Add("message", message).Add("hint", hint).str();
 }
 
 std::string LintReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"errors\":%zu,\"warnings\":%zu,\"notes\":%zu,"
-      "\"functions_scanned\":%llu,\"call_edges\":%llu,"
-      "\"blocks_analyzed\":%llu,\"insns_decoded\":%llu,"
-      "\"data_sections_compared\":%llu,\"functions_summarized\":%llu,"
-      "\"findings\":%s}",
-      JsonEscaped(id).c_str(), errors(),
-      CountAtLeast(LintSeverity::kWarning) - errors(),
-      findings.size() - CountAtLeast(LintSeverity::kWarning),
-      U(functions_scanned), U(call_edges), U(blocks_analyzed),
-      U(insns_decoded), U(data_sections_compared), U(functions_summarized),
-      LintFindingsJson(findings).c_str());
+  size_t warnings_or_worse = CountAtLeast(LintSeverity::kWarning);
+  return ks::JsonObject()
+      .Add("id", id).Add("errors", errors())
+      .Add("warnings", warnings_or_worse - errors())
+      .Add("notes", findings.size() - warnings_or_worse)
+      .Add("functions_scanned", functions_scanned).Add("call_edges", call_edges)
+      .Add("blocks_analyzed", blocks_analyzed)
+      .Add("insns_decoded", insns_decoded)
+      .Add("data_sections_compared", data_sections_compared)
+      .Add("functions_summarized", functions_summarized)
+      .Add("findings", findings).str();
 }
 
 std::string UnitReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"unit\":\"%s\",\"pre_cache_hit\":%s,\"post_cache_hit\":%s,"
-      "\"pre_text_bytes\":%u,\"post_text_bytes\":%u,"
-      "\"sections_compared\":%u,\"sections_changed\":%u,"
-      "\"text_changed\":%u,\"data_changed\":%u}",
-      JsonEscaped(unit).c_str(), pre_cache_hit ? "true" : "false",
-      post_cache_hit ? "true" : "false", pre_text_bytes, post_text_bytes,
-      sections_compared, sections_changed, text_changed, data_changed);
+  return ks::JsonObject()
+      .Add("unit", unit).Add("pre_cache_hit", pre_cache_hit)
+      .Add("post_cache_hit", post_cache_hit)
+      .Add("pre_text_bytes", pre_text_bytes)
+      .Add("post_text_bytes", post_text_bytes)
+      .Add("sections_compared", sections_compared)
+      .Add("sections_changed", sections_changed)
+      .Add("text_changed", text_changed).Add("data_changed", data_changed)
+      .str();
 }
 
 std::string ChangedFunction::ToJson() const {
-  return ks::StrPrintf(
-      "{\"unit\":\"%s\",\"symbol\":\"%s\",\"change\":\"%s\","
-      "\"pre_size\":%u,\"post_size\":%u}",
-      JsonEscaped(unit).c_str(), JsonEscaped(symbol).c_str(),
-      JsonEscaped(change).c_str(), pre_size, post_size);
+  return ks::JsonObject()
+      .Add("unit", unit).Add("symbol", symbol).Add("change", change)
+      .Add("pre_size", pre_size).Add("post_size", post_size).str();
 }
 
 std::string CreateReport::ToJson() const {
-  std::vector<std::string> unit_rows;
-  for (const UnitReport& unit : units) {
-    unit_rows.push_back(unit.ToJson());
-  }
-  std::vector<std::string> fn_rows;
-  for (const ChangedFunction& fn : changed_functions) {
-    fn_rows.push_back(fn.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"units_rebuilt\":%u,\"cache_hits\":%llu,"
-      "\"cache_misses\":%llu,\"prepost_wall_ns\":%llu,"
-      "\"create_wall_ns\":%llu,\"targets\":%u,\"units\":%s,"
-      "\"changed_functions\":%s,\"lint\":%s}",
-      JsonEscaped(id).c_str(), units_rebuilt, U(cache_hits), U(cache_misses),
-      U(prepost_wall_ns), U(create_wall_ns), targets,
-      JoinJson(unit_rows).c_str(), JoinJson(fn_rows).c_str(),
-      lint.ToJson().c_str());
+  return ks::JsonObject()
+      .Add("id", id).Add("units_rebuilt", units_rebuilt)
+      .Add("cache_hits", cache_hits).Add("cache_misses", cache_misses)
+      .Add("prepost_wall_ns", prepost_wall_ns)
+      .Add("create_wall_ns", create_wall_ns).Add("targets", targets)
+      .Add("units", units).Add("changed_functions", changed_functions)
+      .Add("lint", lint).str();
 }
 
 std::string SpliceRecord::ToJson() const {
-  return ks::StrPrintf(
-      "{\"unit\":\"%s\",\"symbol\":\"%s\",\"orig_address\":%u,"
-      "\"repl_address\":%u,\"code_size\":%u,\"repl_size\":%u,"
-      "\"trampoline_bytes\":%u}",
-      JsonEscaped(unit).c_str(), JsonEscaped(symbol).c_str(), orig_address,
-      repl_address, code_size, repl_size, trampoline_bytes);
+  return ks::JsonObject()
+      .Add("unit", unit).Add("symbol", symbol).Add("orig_address", orig_address)
+      .Add("repl_address", repl_address).Add("code_size", code_size)
+      .Add("repl_size", repl_size).Add("trampoline_bytes", trampoline_bytes)
+      .str();
 }
 
 std::string QuiescenceBlocker::ToJson() const {
-  return ks::StrPrintf(
-      "{\"tid\":%d,\"pc\":%u,\"hit_address\":%u,\"from_stack\":%s}", tid,
-      pc, hit_address, from_stack ? "true" : "false");
+  return ks::JsonObject()
+      .Add("tid", tid).Add("pc", pc).Add("hit_address", hit_address)
+      .Add("from_stack", from_stack).str();
 }
 
 std::string StageTiming::ToJson() const {
-  return ks::StrPrintf("{\"stage\":\"%s\",\"wall_ns\":%llu}",
-                       JsonEscaped(stage).c_str(), U(wall_ns));
+  return ks::JsonObject().Add("stage", stage).Add("wall_ns", wall_ns).str();
 }
-
-namespace {
-
-std::string StagesJson(const std::vector<StageTiming>& stages) {
-  std::vector<std::string> rows;
-  for (const StageTiming& stage : stages) {
-    rows.push_back(stage.ToJson());
-  }
-  return JoinJson(rows);
-}
-
-std::string BlockersJson(const std::vector<QuiescenceBlocker>& blockers) {
-  std::vector<std::string> rows;
-  for (const QuiescenceBlocker& blocker : blockers) {
-    rows.push_back(blocker.ToJson());
-  }
-  return JoinJson(rows);
-}
-
-}  // namespace
 
 std::string ApplyReport::ToJson() const {
-  std::vector<std::string> fn_rows;
-  for (const SpliceRecord& fn : functions) {
-    fn_rows.push_back(fn.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"functions\":%s,\"match\":%s,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
-      "\"helper_bytes\":%llu,\"primary_bytes\":%u,\"trampoline_bytes\":%u,"
-      "\"helper_retained\":%s,\"stages\":%s,\"blockers\":%s}",
-      JsonEscaped(id).c_str(), JoinJson(fn_rows).c_str(),
-      match.ToJson().c_str(), attempts, quiescence_retries, U(pause_ns),
-      U(retry_ticks), U(helper_bytes), primary_bytes, trampoline_bytes,
-      helper_retained ? "true" : "false", StagesJson(stages).c_str(),
-      BlockersJson(blockers).c_str());
+  return ks::JsonObject()
+      .Add("id", id).Add("functions", functions).Add("match", match)
+      .Add("attempts", attempts).Add("quiescence_retries", quiescence_retries)
+      .Add("pause_ns", pause_ns).Add("retry_ticks", retry_ticks)
+      .Add("helper_bytes", helper_bytes).Add("primary_bytes", primary_bytes)
+      .Add("trampoline_bytes", trampoline_bytes)
+      .Add("helper_retained", helper_retained).Add("stages", stages)
+      .Add("blockers", blockers).str();
 }
 
 std::string BatchApplyReport::ToJson() const {
-  std::vector<std::string> rows;
-  for (const ApplyReport& update : updates) {
-    rows.push_back(update.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"packages\":%u,\"updates\":%s,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
-      "\"functions_spliced\":%u,\"stages\":%s,\"blockers\":%s}",
-      packages, JoinJson(rows).c_str(), attempts, quiescence_retries,
-      U(pause_ns), U(retry_ticks), functions_spliced,
-      StagesJson(stages).c_str(), BlockersJson(blockers).c_str());
+  return ks::JsonObject()
+      .Add("packages", packages).Add("updates", updates)
+      .Add("attempts", attempts).Add("quiescence_retries", quiescence_retries)
+      .Add("pause_ns", pause_ns).Add("retry_ticks", retry_ticks)
+      .Add("functions_spliced", functions_spliced).Add("stages", stages)
+      .Add("blockers", blockers).str();
 }
 
 std::string UndoReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"functions_restored\":%u,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"pause_ns\":%llu,\"retry_ticks\":%llu,"
-      "\"bytes_restored\":%u,\"primary_bytes_reclaimed\":%u,"
-      "\"helper_bytes_reclaimed\":%u,\"out_of_order\":%s,"
-      "\"chains_rewritten\":%u,\"blockers\":%s}",
-      JsonEscaped(id).c_str(), functions_restored, attempts,
-      quiescence_retries, U(pause_ns), U(retry_ticks), bytes_restored,
-      primary_bytes_reclaimed, helper_bytes_reclaimed,
-      out_of_order ? "true" : "false", chains_rewritten,
-      BlockersJson(blockers).c_str());
+  return ks::JsonObject()
+      .Add("id", id).Add("functions_restored", functions_restored)
+      .Add("attempts", attempts).Add("quiescence_retries", quiescence_retries)
+      .Add("pause_ns", pause_ns).Add("retry_ticks", retry_ticks)
+      .Add("bytes_restored", bytes_restored)
+      .Add("primary_bytes_reclaimed", primary_bytes_reclaimed)
+      .Add("helper_bytes_reclaimed", helper_bytes_reclaimed)
+      .Add("out_of_order", out_of_order)
+      .Add("chains_rewritten", chains_rewritten).Add("blockers", blockers)
+      .str();
 }
 
 std::string AttributedFault::ToJson() const {
-  return ks::StrPrintf(
-      "{\"update\":\"%s\",\"unit\":\"%s\",\"symbol\":\"%s\",\"tid\":%d,"
-      "\"pc\":%u,\"tick\":%llu,\"reason\":\"%s\"}",
-      JsonEscaped(update).c_str(), JsonEscaped(unit).c_str(),
-      JsonEscaped(symbol).c_str(), tid, pc, U(tick),
-      JsonEscaped(reason).c_str());
+  return ks::JsonObject()
+      .Add("update", update).Add("unit", unit).Add("symbol", symbol)
+      .Add("tid", tid).Add("pc", pc).Add("tick", tick).Add("reason", reason)
+      .str();
 }
-
-namespace {
-
-std::string AttributedJson(const std::vector<AttributedFault>& faults) {
-  std::vector<std::string> rows;
-  for (const AttributedFault& fault : faults) {
-    rows.push_back(fault.ToJson());
-  }
-  return JoinJson(rows);
-}
-
-}  // namespace
 
 std::string RevertReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"package_hash\":%llu,\"trigger\":%s,"
-      "\"detected_tick\":%llu,\"attempts\":%d,\"backoff_ticks\":%llu,"
-      "\"reverted\":%s,\"quarantined\":%s,\"error\":\"%s\",\"undo\":%s}",
-      JsonEscaped(id).c_str(), U(package_hash), trigger.ToJson().c_str(),
-      U(detected_tick), attempts, U(backoff_ticks),
-      reverted ? "true" : "false", quarantined ? "true" : "false",
-      JsonEscaped(error).c_str(), undo.ToJson().c_str());
+  return ks::JsonObject()
+      .Add("id", id).Add("package_hash", package_hash).Add("trigger", trigger)
+      .Add("detected_tick", detected_tick).Add("attempts", attempts)
+      .Add("backoff_ticks", backoff_ticks).Add("reverted", reverted)
+      .Add("quarantined", quarantined).Add("error", error).Add("undo", undo)
+      .str();
 }
 
 std::string WatchdogReport::ToJson() const {
-  std::vector<std::string> unattributed_rows;
-  for (const std::string& line : unattributed) {
-    unattributed_rows.push_back(
-        ks::StrPrintf("\"%s\"", JsonEscaped(line).c_str()));
-  }
-  std::vector<std::string> revert_rows;
-  for (const RevertReport& revert : reverts) {
-    revert_rows.push_back(revert.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"window_ticks\":%llu,\"samples\":%llu,\"faults_seen\":%llu,"
-      "\"faults_attributed\":%llu,\"extable_fixups\":%llu,"
-      "\"stuck_threads\":%u,\"panicked\":%s,\"window_closed\":%s,"
-      "\"attributed\":%s,\"unattributed\":%s,\"reverts\":%s}",
-      U(window_ticks), U(samples), U(faults_seen), U(faults_attributed),
-      U(extable_fixups), stuck_threads, panicked ? "true" : "false",
-      window_closed ? "true" : "false", AttributedJson(attributed).c_str(),
-      JoinJson(unattributed_rows).c_str(), JoinJson(revert_rows).c_str());
+  return ks::JsonObject()
+      .Add("window_ticks", window_ticks).Add("samples", samples)
+      .Add("faults_seen", faults_seen)
+      .Add("faults_attributed", faults_attributed)
+      .Add("extable_fixups", extable_fixups).Add("stuck_threads", stuck_threads)
+      .Add("panicked", panicked).Add("window_closed", window_closed)
+      .Add("attributed", attributed).Add("unattributed", unattributed)
+      .Add("reverts", reverts).str();
 }
 
 std::string QuarantineEntry::ToJson() const {
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"package_hash\":%llu,\"evidence\":\"%s\","
-      "\"tid\":%d,\"pc\":%u,\"tick\":%llu}",
-      JsonEscaped(id).c_str(), U(package_hash),
-      JsonEscaped(evidence).c_str(), tid, pc, U(tick));
+  return ks::JsonObject()
+      .Add("id", id).Add("package_hash", package_hash).Add("evidence", evidence)
+      .Add("tid", tid).Add("pc", pc).Add("tick", tick).str();
 }
 
 std::string HealthStatus::ToJson() const {
-  return ks::StrPrintf(
-      "{\"faults_total\":%llu,\"faults_attributed\":%llu,"
-      "\"extable_fixups\":%llu,\"dropped_log_lines\":%llu,"
-      "\"panicked\":%s,\"attributed\":%s}",
-      U(faults_total), U(faults_attributed), U(extable_fixups),
-      U(dropped_log_lines), panicked ? "true" : "false",
-      AttributedJson(attributed).c_str());
+  return ks::JsonObject()
+      .Add("faults_total", faults_total)
+      .Add("faults_attributed", faults_attributed)
+      .Add("extable_fixups", extable_fixups)
+      .Add("dropped_log_lines", dropped_log_lines).Add("panicked", panicked)
+      .Add("attributed", attributed).str();
 }
 
 std::string UpdateStatusRow::ToJson() const {
-  std::vector<std::string> symbol_rows;
-  for (const std::string& symbol : symbols) {
-    symbol_rows.push_back(ks::StrPrintf("\"%s\"", JsonEscaped(symbol).c_str()));
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"functions\":%u,\"helper_loaded\":%s,"
-      "\"helper_bytes\":%u,\"primary_bytes\":%u,\"trampoline_bytes\":%u,"
-      "\"attributed_faults\":%llu,\"symbols\":%s}",
-      JsonEscaped(id).c_str(), functions, helper_loaded ? "true" : "false",
-      helper_bytes, primary_bytes, trampoline_bytes, U(attributed_faults),
-      JoinJson(symbol_rows).c_str());
+  return ks::JsonObject()
+      .Add("id", id).Add("functions", functions)
+      .Add("helper_loaded", helper_loaded).Add("helper_bytes", helper_bytes)
+      .Add("primary_bytes", primary_bytes)
+      .Add("trampoline_bytes", trampoline_bytes)
+      .Add("attributed_faults", attributed_faults).Add("symbols", symbols)
+      .str();
 }
 
 std::string StatusReport::ToJson() const {
-  std::vector<std::string> rows;
-  for (const UpdateStatusRow& row : updates) {
-    rows.push_back(row.ToJson());
-  }
-  std::vector<std::string> quarantine_rows;
-  for (const QuarantineEntry& entry : quarantine) {
-    quarantine_rows.push_back(entry.ToJson());
-  }
-  return ks::StrPrintf(
-      "{\"updates\":%s,\"arena_bytes_in_use\":%u,\"health\":%s,"
-      "\"quarantine\":%s}",
-      JoinJson(rows).c_str(), arena_bytes_in_use, health.ToJson().c_str(),
-      JoinJson(quarantine_rows).c_str());
+  return ks::JsonObject()
+      .Add("updates", updates).Add("arena_bytes_in_use", arena_bytes_in_use)
+      .Add("health", health).Add("quarantine", quarantine).str();
 }
 
 const char* RolloutNodeOutcomeName(RolloutNodeOutcome outcome) {
@@ -364,57 +243,36 @@ const char* RolloutNodeOutcomeName(RolloutNodeOutcome outcome) {
 }
 
 std::string RolloutNodeReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"node\":\"%s\",\"version\":\"%s\",\"wave\":%d,\"canary\":%s,"
-      "\"outcome\":\"%s\",\"pause_ns\":%llu,\"attempts\":%d,"
-      "\"quiescence_retries\":%d,\"functions_spliced\":%u,"
-      "\"soak_faults\":%llu,\"error\":\"%s\"}",
-      JsonEscaped(node).c_str(), JsonEscaped(version).c_str(), wave,
-      canary ? "true" : "false", RolloutNodeOutcomeName(outcome),
-      U(pause_ns), attempts, quiescence_retries, functions_spliced,
-      U(soak_faults), JsonEscaped(error).c_str());
+  return ks::JsonObject()
+      .Add("node", node).Add("version", version).Add("wave", wave)
+      .Add("canary", canary).Add("outcome", RolloutNodeOutcomeName(outcome))
+      .Add("pause_ns", pause_ns).Add("attempts", attempts)
+      .Add("quiescence_retries", quiescence_retries)
+      .Add("functions_spliced", functions_spliced)
+      .Add("soak_faults", soak_faults).Add("error", error).str();
 }
 
 std::string RolloutWaveReport::ToJson() const {
-  return ks::StrPrintf(
-      "{\"wave\":%d,\"canary\":%s,\"nodes\":%u,\"patched\":%u,"
-      "\"already_applied\":%u,\"skipped_stale\":%u,\"failed\":%u,"
-      "\"auto_reverted\":%u,\"wall_ns\":%llu,\"max_pause_ns\":%llu,"
-      "\"tripped\":%s}",
-      wave, canary ? "true" : "false", nodes, patched, already_applied,
-      skipped_stale, failed, auto_reverted, U(wall_ns), U(max_pause_ns),
-      tripped ? "true" : "false");
+  return ks::JsonObject()
+      .Add("wave", wave).Add("canary", canary).Add("nodes", nodes)
+      .Add("patched", patched).Add("already_applied", already_applied)
+      .Add("skipped_stale", skipped_stale).Add("failed", failed)
+      .Add("auto_reverted", auto_reverted).Add("wall_ns", wall_ns)
+      .Add("max_pause_ns", max_pause_ns).Add("tripped", tripped).str();
 }
 
 std::string RolloutReport::ToJson() const {
-  std::vector<std::string> wave_rows;
-  for (const RolloutWaveReport& wave : wave_reports) {
-    wave_rows.push_back(wave.ToJson());
-  }
-  std::vector<std::string> node_rows;
-  for (const RolloutNodeReport& node : nodes) {
-    node_rows.push_back(node.ToJson());
-  }
-  std::vector<std::string> blacklist_rows;
-  for (const std::string& entry : blacklisted) {
-    blacklist_rows.push_back(
-        ks::StrPrintf("\"%s\"", JsonEscaped(entry).c_str()));
-  }
-  return ks::StrPrintf(
-      "{\"id\":\"%s\",\"fleet_size\":%u,\"aborted\":%s,"
-      "\"tripped_wave\":%d,\"waves\":%u,\"patched\":%u,"
-      "\"already_applied\":%u,\"skipped_stale\":%u,\"failed\":%u,"
-      "\"rolled_back\":%u,\"auto_reverted\":%u,\"not_attempted\":%u,"
-      "\"blacklisted\":%s,\"wall_ns\":%llu,"
-      "\"nodes_per_sec\":%.3f,\"pause_p50_ns\":%llu,"
-      "\"pause_p99_ns\":%llu,\"pause_max_ns\":%llu,\"wave_reports\":%s,"
-      "\"nodes\":%s}",
-      JsonEscaped(id).c_str(), fleet_size, aborted ? "true" : "false",
-      tripped_wave, waves, patched, already_applied, skipped_stale, failed,
-      rolled_back, auto_reverted, not_attempted,
-      JoinJson(blacklist_rows).c_str(), U(wall_ns), nodes_per_sec,
-      U(pause_p50_ns), U(pause_p99_ns), U(pause_max_ns),
-      JoinJson(wave_rows).c_str(), JoinJson(node_rows).c_str());
+  return ks::JsonObject()
+      .Add("id", id).Add("fleet_size", fleet_size).Add("aborted", aborted)
+      .Add("tripped_wave", tripped_wave).Add("waves", waves)
+      .Add("patched", patched).Add("already_applied", already_applied)
+      .Add("skipped_stale", skipped_stale).Add("failed", failed)
+      .Add("rolled_back", rolled_back).Add("auto_reverted", auto_reverted)
+      .Add("not_attempted", not_attempted).Add("blacklisted", blacklisted)
+      .Add("wall_ns", wall_ns).Add("nodes_per_sec", nodes_per_sec)
+      .Add("pause_p50_ns", pause_p50_ns).Add("pause_p99_ns", pause_p99_ns)
+      .Add("pause_max_ns", pause_max_ns).Add("wave_reports", wave_reports)
+      .Add("nodes", nodes).str();
 }
 
 }  // namespace ksplice

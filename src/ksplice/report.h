@@ -10,10 +10,10 @@
 // ksplice_tool, the corpus evaluator — instead of scraping internal
 // ledgers like AppliedUpdate.
 //
-// Each report serializes to JSON (ToJson) with stable keys; the same
-// numbers also flow into the global metrics registry (base/metrics.h), so
-// a report is the per-operation view and the registry the per-process
-// aggregate.
+// Each report serializes to JSON (ToJson) with stable keys, built by the
+// one JSON writer, ks::JsonObject (base/json.h); the same numbers also
+// flow into the global metrics registry (base/metrics.h), so a report is
+// the per-operation view and the registry the per-process aggregate.
 
 #ifndef KSPLICE_KSPLICE_REPORT_H_
 #define KSPLICE_KSPLICE_REPORT_H_
@@ -93,15 +93,11 @@ struct LintFinding {
   std::string ToJson() const;
 };
 
-// The one serializer for a findings array: "[{...},{...}]". Every surface
-// that emits findings JSON — LintReport::ToJson, the .report.json sidecar
-// through it, `ksplice_tool lint --json` — goes through this function, so
-// the byte streams agree by construction.
-std::string LintFindingsJson(const std::vector<LintFinding>& findings);
-
 // Everything the analyzer observed over one package: the findings plus
 // per-pass work counters (the registry carries the per-process aggregate
-// under "kanalyze.*").
+// under "kanalyze.*"). Every surface that emits findings JSON — the
+// .report.json sidecar, `ksplice_tool lint --json` — goes through
+// LintReport::ToJson, so the byte streams agree by construction.
 struct LintReport {
   std::string id;  // package id
   std::vector<LintFinding> findings;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "base/endian.h"
+#include "base/file.h"
 #include "base/fnv.h"
 #include "base/status.h"
 #include "base/strings.h"
@@ -201,6 +205,22 @@ TEST(FnvTest, PinsPackageHeaderChecksum) {
   put_str(".text.sys_prctl");
   ASSERT_EQ(payload.size(), 71u);
   EXPECT_EQ(Fnv1a32(payload), 0x58ea9c2fu);
+}
+
+TEST(FileTest, WriteCreatesParentsAndReadRoundTrips) {
+  namespace fs = std::filesystem;
+  fs::path root = fs::path(testing::TempDir()) / "ks_file_test";
+  fs::remove_all(root);
+  fs::path nested = root / "a" / "b" / "out.json";
+  ASSERT_TRUE(WriteFile(nested, "{}\n").ok());
+  Result<std::string> read = ReadFile(nested);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, "{}\n");
+  EXPECT_FALSE(ReadFile(root / "missing").ok());
+
+  // A regular file where a directory must go is an error, not a throw.
+  EXPECT_FALSE(WriteFile(nested / "under_a_file.json", "x").ok());
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -37,9 +37,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "base/faultinject.h"
+#include "base/file.h"
 #include "base/metrics.h"
 #include "base/strings.h"
 #include "base/trace.h"
@@ -60,28 +60,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-ks::Result<std::string> ReadFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return ks::NotFound("cannot read " + path.string());
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return contents;
-}
-
-ks::Status WriteFile(const fs::path& path, const std::string& contents) {
-  if (path.has_parent_path()) {
-    fs::create_directories(path.parent_path());
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return ks::Internal("cannot write " + path.string());
-  }
-  out << contents;
-  return ks::OkStatus();
-}
-
 // Loads every .kc/.kvs/.h file under `dir` into a SourceTree.
 ks::Result<kdiff::SourceTree> LoadTree(const std::string& dir) {
   kdiff::SourceTree tree;
@@ -97,7 +75,7 @@ ks::Result<kdiff::SourceTree> LoadTree(const std::string& dir) {
     if (ext != ".kc" && ext != ".kvs" && ext != ".h") {
       continue;
     }
-    KS_ASSIGN_OR_RETURN(std::string contents, ReadFile(entry.path()));
+    KS_ASSIGN_OR_RETURN(std::string contents, ks::ReadFile(entry.path()));
     tree.Write(fs::relative(entry.path(), dir).generic_string(),
                std::move(contents));
   }
@@ -422,7 +400,7 @@ int EmitJson(const std::string& json) {
     std::printf("%s\n", json.c_str());
     return 0;
   }
-  ks::Status written = WriteFile(g_cmd.json_file, json + "\n");
+  ks::Status written = ks::WriteFile(g_cmd.json_file, json + "\n");
   return written.ok() ? 0 : Fail(written);
 }
 
@@ -624,7 +602,7 @@ int CmdCreate(const std::vector<std::string>& args) {
   if (!tree.ok()) {
     return Fail(tree.status());
   }
-  ks::Result<std::string> patch = ReadFile(args[1]);
+  ks::Result<std::string> patch = ks::ReadFile(args[1]);
   if (!patch.ok()) {
     return Fail(patch.status());
   }
@@ -648,15 +626,15 @@ int CmdCreate(const std::vector<std::string>& args) {
     return Fail(created.status());
   }
   std::vector<uint8_t> bytes = created->package.Serialize();
-  ks::Status written = WriteFile(
+  ks::Status written = ks::WriteFile(
       out_path, std::string(bytes.begin(), bytes.end()));
   if (!written.ok()) {
     return Fail(written);
   }
   // The typed report rides along as JSON so `inspect` can show how the
   // package came to be.
-  (void)WriteFile(out_path + ".report.json",
-                  created->report.ToJson() + "\n");
+  (void)ks::WriteFile(out_path + ".report.json",
+                      created->report.ToJson() + "\n");
   std::printf("Ksplice update %s written to %s (%zu bytes, %zu targets)\n",
               created->package.id.c_str(), out_path.c_str(), bytes.size(),
               created->package.targets.size());
@@ -681,7 +659,7 @@ int CmdLint(const std::vector<std::string>& args) {
     return UsageError("--fail-on=" + g_cmd.fail_on +
                       " is not note, warning or error");
   }
-  ks::Result<std::string> raw = ReadFile(args[0]);
+  ks::Result<std::string> raw = ks::ReadFile(args[0]);
   if (!raw.ok()) {
     return Fail(raw.status());
   }
@@ -714,7 +692,7 @@ int CmdLint(const std::vector<std::string>& args) {
 
 int CmdInspect(const std::vector<std::string>& args) {
   const std::string& pkg_path = args[0];
-  ks::Result<std::string> raw = ReadFile(pkg_path);
+  ks::Result<std::string> raw = ks::ReadFile(pkg_path);
   if (!raw.ok()) {
     return Fail(raw.status());
   }
@@ -744,7 +722,7 @@ int CmdInspect(const std::vector<std::string>& args) {
     }
   }
   // The create report, when the package was written by `create`.
-  ks::Result<std::string> report = ReadFile(pkg_path + ".report.json");
+  ks::Result<std::string> report = ks::ReadFile(pkg_path + ".report.json");
   if (report.ok()) {
     std::printf("report    : %s", report->c_str());
   }
@@ -762,7 +740,7 @@ int CmdDemo(const std::vector<std::string>& args) {
   if (!tree.ok()) {
     return Fail(tree.status());
   }
-  ks::Result<std::string> patch = ReadFile(args[1]);
+  ks::Result<std::string> patch = ks::ReadFile(args[1]);
   if (!patch.ok()) {
     return Fail(patch.status());
   }
@@ -839,7 +817,7 @@ ks::Result<std::vector<ksplice::UpdatePackage>> LoadPackages(
     const std::vector<std::string>& paths) {
   std::vector<ksplice::UpdatePackage> packages;
   for (const std::string& path : paths) {
-    KS_ASSIGN_OR_RETURN(std::string raw, ReadFile(path));
+    KS_ASSIGN_OR_RETURN(std::string raw, ks::ReadFile(path));
     ks::Result<ksplice::UpdatePackage> package = ksplice::UpdatePackage::Parse(
         std::vector<uint8_t>(raw.begin(), raw.end()));
     if (!package.ok()) {
@@ -1140,7 +1118,7 @@ int CmdExportCorpus(const std::vector<std::string>& args) {
   const kdiff::SourceTree& tree = corpus::KernelSource();
   for (const std::string& path : tree.Paths()) {
     ks::Status written =
-        WriteFile(fs::path(dir) / "src" / path, *tree.Read(path));
+        ks::WriteFile(fs::path(dir) / "src" / path, *tree.Read(path));
     if (!written.ok()) {
       return Fail(written);
     }
@@ -1151,7 +1129,7 @@ int CmdExportCorpus(const std::vector<std::string>& args) {
     if (!patch.ok()) {
       return Fail(patch.status());
     }
-    ks::Status written = WriteFile(
+    ks::Status written = ks::WriteFile(
         fs::path(dir) / "patches" / (vuln.cve + ".patch"), *patch);
     if (!written.ok()) {
       return Fail(written);
@@ -1160,7 +1138,7 @@ int CmdExportCorpus(const std::vector<std::string>& args) {
     if (vuln.needs_custom_code) {
       ks::Result<std::string> amended = corpus::AmendedPatchFor(vuln);
       if (amended.ok()) {
-        (void)WriteFile(
+        (void)ks::WriteFile(
             fs::path(dir) / "patches" / (vuln.cve + ".custom.patch"),
             *amended);
       }
@@ -1373,7 +1351,8 @@ int Finish(int code) {
     if (g_options.trace_file.empty()) {
       std::fprintf(stderr, "%s", ks::TraceSummary().c_str());
     } else {
-      ks::Status written = ks::WriteTraceJson(g_options.trace_file);
+      ks::Status written =
+          ks::WriteFile(g_options.trace_file, ks::TraceJson());
       if (!written.ok()) {
         std::fprintf(stderr, "trace write failed: %s\n",
                      written.ToString().c_str());
@@ -1381,7 +1360,8 @@ int Finish(int code) {
     }
   }
   if (!g_options.metrics_file.empty()) {
-    ks::Status written = ks::Metrics().WriteJson(g_options.metrics_file);
+    ks::Status written =
+        ks::WriteFile(g_options.metrics_file, ks::Metrics().ToJson());
     if (!written.ok()) {
       std::fprintf(stderr, "metrics write failed: %s\n",
                    written.ToString().c_str());
